@@ -1,50 +1,13 @@
 //! `shp` — command-line interface for the Social Hash Partitioner.
 //!
-//! Subcommands:
+//! Every subcommand is declared once, in `COMMANDS`: its positional arguments, its flags (each
+//! a switch or a value with an optional default and a one-line help), and what it does. One
+//! parser reads every command line against those declarations, so an unknown flag, a missing
+//! value, or a malformed number fails the same way on every subcommand, and `shp --help` and
+//! `shp <command> --help` print usage generated from the same table. The `cmd_*` functions
+//! keep only the domain checks (`--scale` in (0, 1], `--shards` at least 2, …).
 //!
-//! * `generate <dataset> <scale> <output.hgr>` — synthesize a Table-1 dataset stand-in and
-//!   write it in hMetis format. With `--stream` (power-law datasets, `.shpb` output) the
-//!   graph is streamed to the container in bounded memory without ever being materialized.
-//! * `algorithms` — list every partitioning algorithm registered in the workspace registry.
-//! * `convert <input> <output> [--from <fmt>] [--to <fmt>] [--workers <n>]` — convert a
-//!   graph between the edge-list, hMetis, and `.shpb` compact binary formats, with format
-//!   autodetection by extension and contents (`shp convert --help` spells out the rules).
-//! * `partition <input> <k> <output.part> [--mode <algorithm>] [--p <p>] [--epsilon <eps>]
-//!   [--seed <seed>] [--iterations <n>] [--workers <n>] [--json]` — partition a graph file
-//!   (any supported format, autodetected — a `.shpb` input skips parsing entirely) with
-//!   **any registered algorithm** (SHP or baseline) and write the bucket of every vertex;
-//!   `--json` emits the full `PartitionOutcome`. `--workers` sets the number of real threads
-//!   driving both the text parse and the refinement hot paths — the output is bit-identical
-//!   for every worker count (see the determinism contract in `shp-core`), only the
-//!   wall-clock time changes.
-//! * `evaluate <input> <partition.part> <k> [--json]` — report fanout, p-fanout, hyperedge
-//!   cut, and imbalance of an existing partition (any graph format).
-//! * `replay [options]` — drive a synthetic open-loop multiget workload through the
-//!   `shp-serving` engine under a random and an SHP partition and compare mean fanout,
-//!   latency percentiles, and shard load skew. `--graph <file>` serves a graph loaded from
-//!   disk instead of a generated dataset.
-//! * `serve [options]` — start serving, compute an SHP repartition in the background through
-//!   the unified registry, and warm-start it *live* mid-run. `--graph <file>` (ideally a
-//!   `.shpb` snapshot) plus `--partition <file>` warm-start serving from on-disk artifacts:
-//!   the engine opens on the saved placement instead of a random one.
-//!   `--repartition-every <n>` switches to closed-loop *online* repartitioning: a bounded
-//!   trace collector rides the multiget hot path, and a controller thread re-partitions the
-//!   live engine from the observed co-access graph every n served multigets, moving at most
-//!   `--migration-budget <m>` keys per epoch (delta install, no full-map clone).
-//! * `controller [options]` — run the hours-compressed drift scenario from `shp-controller`:
-//!   key popularity rotates phase over phase, a never-repartition baseline decays, and the
-//!   budgeted controller recovers fanout. Prints per-phase fanout/latency and the migration
-//!   volume; `--json` emits the report machine-readably.
-//! * `drill [options]` — run the kill → degrade → recover failure drill from
-//!   `shp-controller`: a replicated engine serves through a scripted shard crash and a slow
-//!   replica (failover + hedging keep availability ≥ 99%), an unreplicated leg degrades to
-//!   precise typed partial results, and the controller drains the dead shard within the
-//!   migration budget. Exits nonzero if any drill gate fails; `--json` emits the report
-//!   machine-readably.
-//! * `metrics <snapshot.json> [--prometheus]` — pretty-print a telemetry snapshot written by
-//!   `--metrics`, or re-emit it in Prometheus text exposition format.
-//!
-//! `partition`, `replay`, and `serve` accept `--metrics <file>`: the run's telemetry —
+//! `partition`, `replay`, `serve`, and `drill` accept `--metrics <file>`: the run's telemetry —
 //! counters, phase spans, latency/fanout histograms, and hot keys from `shp-telemetry` — is
 //! exported as a JSON snapshot (or Prometheus text when the path ends in `.prom`). `replay`
 //! and `serve` rewrite the file roughly once a second while the workload runs, so a live run
@@ -70,29 +33,31 @@ use shp_hypergraph::{
 };
 use shp_serving::{open_loop_schedule, EngineConfig, ServingEngine, WorkloadConfig, WorkloadEvent};
 use shp_telemetry::Snapshot;
+use std::collections::HashMap;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("algorithms") => cmd_algorithms(&args[1..]),
-        Some("convert") => cmd_convert(&args[1..]),
-        Some("partition") => cmd_partition(&args[1..]),
-        Some("evaluate") => cmd_evaluate(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("controller") => cmd_controller(&args[1..]),
-        Some("drill") => cmd_drill(&args[1..]),
-        Some("metrics") => cmd_metrics(&args[1..]),
-        _ => {
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
+    let name = args.first().map(String::as_str);
+    let Some(command) = COMMANDS.iter().find(|command| name == Some(command.name())) else {
+        if matches!(name, Some("--help" | "-h")) {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
         }
+        eprintln!("{}", usage());
+        return ExitCode::from(2);
     };
+    let result = command.parse(&args[1..]).and_then(|parsed| match parsed {
+        Some(parsed) => (command.run)(&parsed),
+        None => {
+            print!("{}", command.help());
+            Ok(())
+        }
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(error) => {
@@ -102,70 +67,387 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage:
-  shp generate <dataset> <scale> <output.hgr>
-  shp generate <dataset> <scale> <output.shpb> --stream
-  shp algorithms
-  shp convert <input> <output> [--from <format>] [--to <format>] [--workers <n>]
-  shp partition <input> <k> <output.part> [--mode <algorithm>] [--p <p>] [--epsilon <eps>]
-                [--seed <seed>] [--iterations <n>] [--workers <n>] [--metrics <file>]
-                [--json] [--mmap]
-  shp evaluate <input> <partition.part> <k> [--json]
-  shp replay [--dataset <name> | --graph <file>] [--scale <s>] [--shards <k>] [--rate <r>]
-             [--duration <d>] [--clients <n>] [--cache <capacity>] [--seed <seed>]
-             [--workers <n>] [--metrics <file>] [--mmap]
-  shp serve  [--dataset <name> | --graph <file>] [--partition <file>] [--scale <s>]
-             [--shards <k>] [--rate <r>] [--duration <d>] [--clients <n>]
-             [--cache <capacity>] [--seed <seed>] [--workers <n>] [--metrics <file>]
-             [--repartition-every <n>] [--migration-budget <m>] [--mmap]
-  shp controller [--quick] [--phases <n>] [--every <n>] [--budget <m>] [--seed <seed>]
-             [--json]
-  shp drill  [--quick] [--budget <m>] [--replication <r>] [--seed <seed>] [--json]
-             [--metrics <file>]
-  shp metrics <snapshot.json> [--prometheus]
-
-`shp algorithms` lists the names accepted by --mode. Graph inputs may be edge-list, hMetis,
-or .shpb binary files (autodetected; see `shp convert --help`).
-`shp generate --stream` writes a power-law dataset straight to a .shpb container in bounded
-memory (byte-identical to materializing, but the graph never exists in RAM); --mmap serves
-partition/replay/serve from a memory-mapped .shpb instead of loading it onto the heap.
---metrics exports the run's telemetry snapshot: JSON by default, Prometheus text exposition
-format when the path ends in .prom; `shp metrics <file>` pretty-prints a JSON snapshot.
---repartition-every closes the serve->observe->repartition loop online: one controller epoch
-per n served multigets, each moving at most --migration-budget keys (default 256).
-`shp controller` runs the drift scenario against a never-repartition baseline.
-`shp drill` runs the kill -> degrade -> recover failure drill: a replicated engine serves
-through a scripted shard crash (failover keeps availability >= 99%), an unreplicated leg
-degrades to typed partial results, and the controller drains the dead shard within budget.
-datasets: email-Enron soc-Epinions web-Stanford web-BerkStan soc-Pokec soc-LJ FB-10M FB-50M FB-2B FB-5B FB-10B";
-
-const CONVERT_HELP: &str =
-    "usage: shp convert <input> <output> [--from <format>] [--to <format>] [--workers <n>]
-
-Converts a graph between the three supported formats, losslessly:
-  edgelist  plain text, one `query_id<TAB>data_id` pair per line, `#` comments
-  hmetis    hMetis hypergraph text format (header `|Q| |D|`, one hyperedge per line)
-  shpb      compact binary container (checksummed header + raw CSR sections);
-            loads an order of magnitude faster than text — ideal for warm starts
-
-Format autodetection, in order of precedence:
-  1. an explicit --from / --to flag always wins;
-  2. the file extension:  .shpb -> shpb;  .hgr .hmetis .graph -> hmetis;
-     .txt .tsv .edges .edgelist .el -> edgelist;
-  3. (inputs only) the contents: the `SHPB` magic -> shpb; a first non-blank
-     byte of `#` -> edgelist; anything else -> hmetis.
-The output format must be resolvable from the extension or --to.
-
---workers <n> parses text inputs with n threads (the result is bit-identical
-for every worker count).
-
-Caveat: an edge list stores only the edges, so queries with no pins and
-trailing isolated data vertices are not representable in it; hmetis and shpb
-round-trip every graph exactly (shpb including data weights).";
-
-fn usage_error(message: impl Into<String>) -> ShpError {
-    ShpError::InvalidArgument(format!("{}\n{USAGE}", message.into()))
+/// One option of a subcommand: a switch (`--json`) or a flag taking one value
+/// (`--mode <algorithm>`).
+struct Flag {
+    /// The flag as usage shows it: its name, then the placeholder of its value if it takes one.
+    usage: &'static str,
+    /// Value used when the flag is absent, parsed exactly like a given one.
+    default: Option<&'static str>,
+    help: &'static str,
 }
+
+impl Flag {
+    fn name(&self) -> &'static str {
+        self.usage
+            .split_once(' ')
+            .map_or(self.usage, |(name, _)| name)
+    }
+
+    fn takes_value(&self) -> bool {
+        self.usage.contains(' ')
+    }
+}
+
+/// Declares a subcommand's flags, one per line: `"--name <value>" = "default": "help";` for a
+/// flag that takes a value (the `= "default"` part is optional), `"--name": "help";` for a
+/// switch.
+macro_rules! flags {
+    ($($usage:literal $(= $default:literal)?: $help:literal;)*) => {
+        &[$(Flag { usage: $usage, default: flags!(@default $($default)?), help: $help }),*]
+    };
+    (@default) => { None };
+    (@default $default:literal) => { Some($default) };
+}
+
+/// Listed by every `shp <command> --help`; the parser handles it before the declared flags.
+const HELP: Flag = Flag {
+    usage: "-h, --help",
+    default: None,
+    help: "print this help",
+};
+
+/// One subcommand: the declaration its parser, its `--help`, and `shp --help` all read.
+struct Command {
+    /// The command as usage shows it: its name, then the placeholders of its positional
+    /// arguments (all required, in order).
+    usage: &'static str,
+    flags: &'static [Flag],
+    /// What the command does, printed by `shp <name> --help`.
+    about: &'static str,
+    run: fn(&Args) -> ShpResult<()>,
+}
+
+/// A subcommand's command line, read against its declaration.
+struct Args {
+    command: &'static Command,
+    positionals: Vec<String>,
+    /// The value of every flag given, by name (empty for a switch); the last occurrence wins.
+    given: HashMap<&'static str, String>,
+}
+
+/// Width `shp --help` wraps each command's synopsis to.
+const HELP_WIDTH: usize = 92;
+
+impl Command {
+    fn name(&self) -> &'static str {
+        self.usage
+            .split_once(' ')
+            .map_or(self.usage, |(name, _)| name)
+    }
+
+    /// Reads `args` against this declaration; `None` when they ask for `--help`.
+    fn parse(&'static self, args: &[String]) -> ShpResult<Option<Args>> {
+        let mut parsed = Args {
+            command: self,
+            positionals: Vec::new(),
+            given: HashMap::new(),
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if arg == "--help" || arg == "-h" {
+                return Ok(None);
+            }
+            if !arg.starts_with("--") {
+                parsed.positionals.push(arg.clone());
+                continue;
+            }
+            let flag = self
+                .flags
+                .iter()
+                .find(|flag| flag.name() == arg)
+                .ok_or_else(|| {
+                    ShpError::InvalidArgument(format!(
+                        "unknown option {arg:?} for `shp {}` (see `shp {} --help`)",
+                        self.name(),
+                        self.name()
+                    ))
+                })?;
+            let value = if flag.takes_value() {
+                args.next().cloned().ok_or_else(|| {
+                    ShpError::InvalidArgument(format!("{} needs a value", flag.name()))
+                })?
+            } else {
+                String::new()
+            };
+            parsed.given.insert(flag.name(), value);
+        }
+        let expected = self.usage.split(' ').count() - 1;
+        if parsed.positionals.len() != expected {
+            return Err(ShpError::InvalidArgument(format!(
+                "`shp {}` takes {expected} argument(s), got {}\nusage: shp {} [options]",
+                self.name(),
+                parsed.positionals.len(),
+                self.usage
+            )));
+        }
+        Ok(Some(parsed))
+    }
+
+    /// The command's entry in `shp --help`: its head, then every flag, wrapped to
+    /// [`HELP_WIDTH`] columns with continuation lines aligned under the first argument.
+    fn synopsis(&self) -> String {
+        let indent = " ".repeat(self.name().len() + 7);
+        let mut lines = vec![format!("  shp {}", self.usage)];
+        for flag in self.flags {
+            let item = format!("[{}]", flag.usage);
+            let line = lines.last_mut().expect("the head starts the first line");
+            if line.len() + 1 + item.len() <= HELP_WIDTH {
+                line.push(' ');
+                line.push_str(&item);
+            } else {
+                lines.push(format!("{indent}{item}"));
+            }
+        }
+        lines.join("\n")
+    }
+
+    /// `shp <name> --help`: the usage line, the description, and one line per flag.
+    fn help(&self) -> String {
+        let mut text = format!(
+            "usage: shp {} [options]\n\n{}\n\noptions:\n",
+            self.usage, self.about
+        );
+        let flags = || self.flags.iter().chain([&HELP]);
+        let width = flags().map(|flag| flag.usage.len()).max().unwrap_or(0);
+        for flag in flags() {
+            let default = flag
+                .default
+                .map(|default| format!(" (default: {default})"))
+                .unwrap_or_default();
+            text += &format!("  {:<width$}  {}{default}\n", flag.usage, flag.help);
+        }
+        text
+    }
+}
+
+impl Args {
+    /// Positional argument `index`, parsed as `T`.
+    fn positional<T: FromStr>(&self, index: usize) -> ShpResult<T> {
+        let value = &self.positionals[index];
+        let placeholder = self
+            .command
+            .usage
+            .split(' ')
+            .nth(index + 1)
+            .unwrap_or_default();
+        value
+            .parse()
+            .map_err(|_| ShpError::InvalidArgument(format!("invalid {placeholder} {value:?}")))
+    }
+
+    /// Whether the switch `name` was given.
+    fn switch(&self, name: &str) -> bool {
+        self.lookup(name).1.is_some()
+    }
+
+    /// The value of flag `name` parsed as `T`: the one given, else the declared default, else
+    /// `None`.
+    fn optional<T: FromStr>(&self, name: &str) -> ShpResult<Option<T>> {
+        let (flag, given) = self.lookup(name);
+        let Some(value) = given.or(flag.default) else {
+            return Ok(None);
+        };
+        value
+            .parse()
+            .map(Some)
+            .map_err(|_| ShpError::InvalidArgument(format!("invalid value {value:?} for {name}")))
+    }
+
+    /// The value of flag `name` parsed as `T`, falling back to its declared default.
+    fn value<T: FromStr>(&self, name: &str) -> ShpResult<T> {
+        Ok(self
+            .optional(name)?
+            .expect("a flag read with `value` declares a default"))
+    }
+
+    /// The declaration of flag `name` and the value given for it, if any.
+    fn lookup(&self, name: &str) -> (&'static Flag, Option<&str>) {
+        let flag = self.command.flags.iter().find(|flag| flag.name() == name);
+        let flag =
+            flag.unwrap_or_else(|| panic!("`shp {}` declares no {name}", self.command.name()));
+        (flag, self.given.get(name).map(String::as_str))
+    }
+}
+
+/// `shp --help`: every command's synopsis, then the notes that span commands.
+fn usage() -> String {
+    let synopses: Vec<String> = COMMANDS.iter().map(Command::synopsis).collect();
+    let datasets: Vec<&str> = Dataset::all().iter().map(|d| d.spec().name).collect();
+    format!(
+        "usage:\n{}\n\n\
+         `shp <command> --help` describes a command and each of its options. Graph inputs may\n\
+         be edge-list, hMetis, or .shpb binary files (autodetected; see `shp convert --help`).\n\
+         --metrics exports the run's telemetry snapshot: JSON by default, Prometheus text\n\
+         exposition format when the path ends in .prom.\n\
+         datasets: {}",
+        synopses.join("\n"),
+        datasets.join(" ")
+    )
+}
+
+/// The options of `shp serve`; `shp replay` takes all but the last three
+/// ([`REPLAY_FLAGS`]).
+const SERVE_FLAGS: &[Flag] = flags! {
+    "--dataset <name>" = "email-Enron": "generated dataset to serve; `shp --help` lists them";
+    "--graph <file>": "serve this graph file (ideally .shpb) instead of a generated dataset";
+    "--scale <s>" = "0.05": "scale of the generated dataset, in (0, 1]";
+    "--shards <k>" = "16": "serving shards, at least 2";
+    "--rate <r>" = "200": "open-loop arrival rate, multigets per time unit";
+    "--duration <d>" = "60": "length of the workload in time units";
+    "--clients <n>" = "4": "concurrent client threads";
+    "--cache <capacity>" = "0": "hot-key cache capacity; 0 disables the cache";
+    "--seed <seed>" = "20551": "seed of the dataset, workload, and partitions";
+    "--workers <n>" = "4": "threads for loading the graph and planning repartitions";
+    "--metrics <file>": "rewrite a telemetry snapshot here about once a second";
+    "--mmap": "memory-map the --graph .shpb file instead of loading it onto the heap";
+    "--partition <file>": "warm-start from this saved placement (needs --graph)";
+    "--repartition-every <n>" = "0": "one controller epoch per n served multigets; 0 disables";
+    "--migration-budget <m>" = "256": "keys a controller epoch may move, at least 1";
+};
+
+const REPLAY_FLAGS: &[Flag] = SERVE_FLAGS.split_at(SERVE_FLAGS.len() - 3).0;
+
+const COMMANDS: &[Command] = &[
+    Command {
+        usage: "generate <dataset> <scale> <output>",
+        flags: flags! {
+            "--stream": "stream a power-law dataset to a .shpb output in bounded memory";
+        },
+        about: "Synthesizes a Table-1 dataset stand-in at <scale> in (0, 1] and writes it in the\n\
+                format of the output's extension (.shpb binary; .txt .tsv .edges .edgelist .el\n\
+                edge list; hMetis for .hgr and any other extension). With --stream the graph\n\
+                goes straight from the generator to the container, byte-identical to\n\
+                materializing it, but it never exists in RAM; only the power-law datasets\n\
+                (email-Enron, web-Stanford, web-BerkStan) can be streamed.",
+        run: cmd_generate,
+    },
+    Command {
+        usage: "algorithms",
+        flags: &[],
+        about: "Lists every partitioning algorithm in the registry: the names accepted by\n\
+                `shp partition --mode`.",
+        run: cmd_algorithms,
+    },
+    Command {
+        usage: "convert <input> <output>",
+        flags: flags! {
+            "--from <format>": "input format: edgelist, hmetis, or shpb";
+            "--to <format>": "output format: edgelist, hmetis, or shpb";
+            "--workers <n>" = "4": "threads parsing a text input; same result for any n";
+        },
+        about: "Converts a graph between the three supported formats, losslessly:\n  \
+                edgelist  plain text, one `query_id<TAB>data_id` pair per line, `#` comments\n  \
+                hmetis    hMetis hypergraph text (header `|Q| |D|`, one hyperedge per line)\n  \
+                shpb      checksummed binary container of raw CSR sections; loads an\n            \
+                order of magnitude faster than text — ideal for warm starts\n\
+                \n\
+                Format autodetection, in order of precedence:\n  \
+                1. an explicit --from / --to flag always wins;\n  \
+                2. the file extension:  .shpb -> shpb;  .hgr .hmetis .graph -> hmetis;\n     \
+                .txt .tsv .edges .edgelist .el -> edgelist;\n  \
+                3. (inputs only) the contents: the `SHPB` magic -> shpb; a first non-blank\n     \
+                byte of `#` -> edgelist; anything else -> hmetis.\n\
+                The output format must be resolvable from the extension or --to.\n\
+                \n\
+                Caveat: an edge list stores only the edges, so queries with no pins and\n\
+                trailing isolated data vertices are not representable in it; hmetis and shpb\n\
+                round-trip every graph exactly (shpb including data weights).",
+        run: cmd_convert,
+    },
+    Command {
+        usage: "partition <input> <k> <output.part>",
+        flags: flags! {
+            "--mode <algorithm>" = "shp2": "partitioning algorithm; `shp algorithms` lists them";
+            "--p <p>" = "0.5": "fanout probability: 1 or more is fanout, 0 or less clique-net";
+            "--epsilon <eps>" = "0.05": "allowed bucket imbalance";
+            "--seed <seed>" = "20551": "seed of the initial assignment and move decisions";
+            "--iterations <n>": "refinement iteration cap (default: the algorithm's own)";
+            "--workers <n>" = "4": "threads for parsing and refinement; same output for any n";
+            "--metrics <file>": "write the run's telemetry snapshot here";
+            "--json": "print the full outcome (metrics and assignment) as one JSON object";
+            "--mmap": "memory-map a .shpb input instead of loading it onto the heap";
+        },
+        about: "Partitions a graph file (any supported format, autodetected; a .shpb input skips\n\
+                parsing entirely) into <k> buckets with any registered algorithm, SHP or\n\
+                baseline, and writes the bucket of every data vertex to <output.part>.",
+        run: cmd_partition,
+    },
+    Command {
+        usage: "evaluate <input> <partition.part> <k>",
+        flags: flags! {
+            "--json": "print the metrics as one JSON object";
+        },
+        about: "Reports fanout, p-fanout, hyperedge cut, and imbalance of an existing partition\n\
+                of a graph file (any supported format).",
+        run: cmd_evaluate,
+    },
+    Command {
+        usage: "replay",
+        flags: REPLAY_FLAGS,
+        about: "Drives a synthetic open-loop multiget workload through the serving engine under\n\
+                a random and an SHP-2 partition and compares mean fanout, latency percentiles,\n\
+                and shard load skew. Exits nonzero unless SHP-2 lowers both mean fanout and p99\n\
+                latency.",
+        run: cmd_replay,
+    },
+    Command {
+        usage: "serve",
+        flags: SERVE_FLAGS,
+        about: "Starts serving, computes an SHP-2 repartition in the background, and warm-starts\n\
+                it live mid-run. --graph (ideally a .shpb snapshot) plus --partition warm-start\n\
+                serving from on-disk artifacts: the engine opens on the saved placement instead\n\
+                of a random one. --repartition-every switches to closed-loop online\n\
+                repartitioning: a bounded trace collector rides the multiget hot path, and a\n\
+                controller thread repartitions the live engine from the observed co-access\n\
+                graph every n served multigets, moving at most --migration-budget keys per\n\
+                epoch (delta install, no full-map clone).",
+        run: cmd_serve,
+    },
+    Command {
+        usage: "controller",
+        flags: flags! {
+            "--quick": "run the smaller scenario";
+            "--phases <n>": "popularity phases, at least 1";
+            "--every <n>": "multigets between controller epochs, at least 1";
+            "--budget <m>": "keys a controller epoch may move, at least 1";
+            "--seed <seed>": "scenario seed";
+            "--json": "print the report as one JSON object";
+        },
+        about: "Runs the hours-compressed drift scenario: key popularity rotates phase over\n\
+                phase, a never-repartition baseline decays, and the budgeted controller recovers\n\
+                fanout. Prints per-phase fanout and latency and the migration volume; exits\n\
+                nonzero unless the controller beats the baseline within its budget. Options\n\
+                left unset keep the scenario's defaults.",
+        run: cmd_controller,
+    },
+    Command {
+        usage: "drill",
+        flags: flags! {
+            "--quick": "run the smaller drill";
+            "--budget <m>": "keys a recovery epoch may move, at least 1";
+            "--replication <r>": "replicas per key, at least 2";
+            "--seed <seed>": "drill seed";
+            "--json": "print the report as one JSON object";
+            "--metrics <file>": "write the drill's telemetry snapshot here";
+        },
+        about: "Runs the kill -> degrade -> recover failure drill: a replicated engine serves\n\
+                through a scripted shard crash and a slow replica (failover and hedging keep\n\
+                availability >= 99%), an unreplicated leg degrades to precise typed partial\n\
+                results, and the controller drains the dead shard within the migration budget.\n\
+                Exits nonzero if any drill gate fails. Options left unset keep the drill's\n\
+                defaults.",
+        run: cmd_drill,
+    },
+    Command {
+        usage: "metrics <snapshot.json>",
+        flags: flags! {
+            "--prometheus": "re-emit the snapshot in Prometheus text exposition format";
+        },
+        about: "Pretty-prints a telemetry snapshot written by --metrics.",
+        run: cmd_metrics,
+    },
+];
 
 /// Writes a telemetry snapshot to `path`: Prometheus text exposition format when the path
 /// ends in `.prom`, pretty-printed JSON otherwise.
@@ -213,17 +495,13 @@ fn with_periodic_snapshots<T>(
     })
 }
 
-fn cmd_metrics(args: &[String]) -> ShpResult<()> {
-    let (path, prometheus) = match args {
-        [path] => (path, false),
-        [path, flag] if flag == "--prometheus" => (path, true),
-        _ => return Err(usage_error("metrics needs a snapshot file")),
-    };
-    let text = std::fs::read_to_string(path)
+fn cmd_metrics(args: &Args) -> ShpResult<()> {
+    let path: String = args.positional(0)?;
+    let text = std::fs::read_to_string(&path)
         .map_err(|error| ShpError::InvalidArgument(format!("cannot read {path:?}: {error}")))?;
     let snapshot = Snapshot::from_json(&text)
         .map_err(|error| ShpError::InvalidArgument(format!("{path}: {error}")))?;
-    if prometheus {
+    if args.switch("--prometheus") {
         print!("{}", snapshot.to_prometheus());
         return Ok(());
     }
@@ -285,28 +563,20 @@ fn cmd_metrics(args: &[String]) -> ShpResult<()> {
     Ok(())
 }
 
-fn cmd_generate(args: &[String]) -> ShpResult<()> {
-    let (name, scale, output, stream) = match args {
-        [name, scale, output] => (name, scale, output, false),
-        [name, scale, output, flag] if flag == "--stream" => (name, scale, output, true),
-        _ => {
-            return Err(usage_error(
-                "generate needs 3 arguments (plus optional --stream)",
-            ))
-        }
-    };
-    let dataset = Dataset::from_name(name)
+fn cmd_generate(args: &Args) -> ShpResult<()> {
+    let name: String = args.positional(0)?;
+    let dataset = Dataset::from_name(&name)
         .ok_or_else(|| ShpError::InvalidArgument(format!("unknown dataset {name:?}")))?;
-    let scale: f64 = scale
-        .parse()
-        .map_err(|_| ShpError::InvalidArgument(format!("invalid scale {scale:?}")))?;
+    let scale: f64 = args.positional(1)?;
     if !(scale > 0.0 && scale <= 1.0) {
         return Err(ShpError::InvalidArgument("scale must lie in (0, 1]".into()));
     }
-    if stream {
+    let output: String = args.positional(2)?;
+    let format = GraphFormat::from_extension(&output);
+    if args.switch("--stream") {
         // Bounded-memory path: the graph goes straight from the generator to the container,
         // byte-identical to materializing it, but it never exists in RAM.
-        if GraphFormat::from_extension(output) != Some(GraphFormat::Shpb) {
+        if format != Some(GraphFormat::Shpb) {
             return Err(ShpError::InvalidArgument(
                 "--stream writes a .shpb container: give the output a .shpb extension".into(),
             ));
@@ -320,7 +590,7 @@ fn cmd_generate(args: &[String]) -> ShpResult<()> {
             ))
         })?;
         let mut stream = shp_datagen::PowerLawStream::new(config);
-        let stats = io::stream_shpb_file(&mut stream, std::path::Path::new(output))?;
+        let stats = io::stream_shpb_file(&mut stream, std::path::Path::new(&output))?;
         println!(
             "{:<16} |Q| {:>12} |D| {:>12} |E| {:>14}  (streamed, {} source passes, {} bytes)",
             dataset.spec().name,
@@ -334,7 +604,7 @@ fn cmd_generate(args: &[String]) -> ShpResult<()> {
         return Ok(());
     }
     let graph = dataset.generate(scale, 0x5047);
-    io::write_hmetis_file(&graph, output)?;
+    io::write_graph_file(&graph, &output, format.unwrap_or(GraphFormat::Hmetis))?;
     println!(
         "{}",
         GraphStats::compute(&graph).table1_row(dataset.spec().name)
@@ -343,10 +613,7 @@ fn cmd_generate(args: &[String]) -> ShpResult<()> {
     Ok(())
 }
 
-fn cmd_algorithms(args: &[String]) -> ShpResult<()> {
-    if !args.is_empty() {
-        return Err(usage_error("algorithms takes no arguments"));
-    }
+fn cmd_algorithms(_: &Args) -> ShpResult<()> {
     let registry = full_registry();
     println!("registered partitioning algorithms (accepted by `shp partition --mode <name>`):");
     for name in registry.names() {
@@ -355,55 +622,26 @@ fn cmd_algorithms(args: &[String]) -> ShpResult<()> {
     Ok(())
 }
 
-fn cmd_convert(args: &[String]) -> ShpResult<()> {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{CONVERT_HELP}");
-        return Ok(());
-    }
-    if args.len() < 2 {
-        return Err(usage_error("convert needs an input and an output path"));
-    }
-    let input = &args[0];
-    let output = &args[1];
-    let mut from: Option<GraphFormat> = None;
-    let mut to: Option<GraphFormat> = None;
-    let mut workers = 4usize;
-    let mut i = 2;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| ShpError::InvalidArgument(format!("{flag} needs a value")))?;
-        match flag {
-            "--from" | "--to" => {
-                let format = GraphFormat::from_name(value).ok_or_else(|| {
-                    ShpError::InvalidArgument(format!(
-                        "unknown format {value:?} (expected edgelist, hmetis, or shpb)"
-                    ))
-                })?;
-                if flag == "--from" {
-                    from = Some(format);
-                } else {
-                    to = Some(format);
-                }
-            }
-            "--workers" => {
-                workers = value
-                    .parse()
-                    .map_err(|_| ShpError::InvalidArgument("--workers needs a number".into()))?
-            }
-            other => {
-                return Err(ShpError::InvalidArgument(format!(
-                    "unknown option {other:?}"
-                )))
-            }
-        }
-        i += 2;
-    }
+fn cmd_convert(args: &Args) -> ShpResult<()> {
+    let input: String = args.positional(0)?;
+    let output: String = args.positional(1)?;
+    let format = |flag: &str| -> ShpResult<Option<GraphFormat>> {
+        let Some(name) = args.optional::<String>(flag)? else {
+            return Ok(None);
+        };
+        let format = GraphFormat::from_name(&name).ok_or_else(|| {
+            ShpError::InvalidArgument(format!(
+                "unknown format {name:?} for {flag} (expected edgelist, hmetis, or shpb)"
+            ))
+        })?;
+        Ok(Some(format))
+    };
+    let (from, to) = (format("--from")?, format("--to")?);
+    let workers: usize = args.value("--workers")?;
 
     // Input: explicit flag > extension > content sniffing.
-    let bytes = std::fs::read(input).map_err(shp_hypergraph::GraphError::from)?;
-    let input_format = from.unwrap_or_else(|| GraphFormat::detect(input, &bytes));
+    let bytes = std::fs::read(&input).map_err(shp_hypergraph::GraphError::from)?;
+    let input_format = from.unwrap_or_else(|| GraphFormat::detect(&input, &bytes));
     let graph = match input_format {
         GraphFormat::EdgeList => io::parse_edge_list_bytes(&bytes, workers),
         GraphFormat::Hmetis => io::parse_hmetis_bytes(&bytes, workers),
@@ -413,13 +651,13 @@ fn cmd_convert(args: &[String]) -> ShpResult<()> {
     // Output: explicit flag > extension (contents cannot be sniffed for a file that does not
     // exist yet).
     let output_format = to
-        .or_else(|| GraphFormat::from_extension(output))
+        .or_else(|| GraphFormat::from_extension(&output))
         .ok_or_else(|| {
             ShpError::InvalidArgument(format!(
                 "cannot infer the output format of {output:?}: use a known extension or --to"
             ))
         })?;
-    io::write_graph_file(&graph, output, output_format)?;
+    io::write_graph_file(&graph, &output, output_format)?;
     println!(
         "converted {input} ({}) -> {output} ({}): {} queries, {} data vertices, {} pins",
         input_format.name(),
@@ -431,78 +669,14 @@ fn cmd_convert(args: &[String]) -> ShpResult<()> {
     Ok(())
 }
 
-fn cmd_partition(args: &[String]) -> ShpResult<()> {
-    if args.len() < 3 {
-        return Err(usage_error("partition needs at least 3 arguments"));
-    }
-    let input = &args[0];
-    let k: u32 = args[1]
-        .parse()
-        .map_err(|_| ShpError::InvalidArgument(format!("invalid k {:?}", args[1])))?;
-    let output = &args[2];
-    let mut mode = "shp2".to_string();
-    let mut p = 0.5f64;
-    let mut epsilon = 0.05f64;
-    let mut seed = 0x5047u64;
-    let mut iterations: Option<usize> = None;
-    let mut workers = 4usize;
-    let mut json = false;
-    let mut mmap = false;
-    let mut metrics: Option<String> = None;
-    let mut i = 3;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--json" {
-            json = true;
-            i += 1;
-            continue;
-        }
-        if flag == "--mmap" {
-            mmap = true;
-            i += 1;
-            continue;
-        }
-        let value = || {
-            args.get(i + 1)
-                .ok_or_else(|| ShpError::InvalidArgument(format!("{flag} needs a value")))
-        };
-        match flag {
-            "--mode" => mode = value()?.clone(),
-            "--p" => {
-                p = value()?
-                    .parse()
-                    .map_err(|_| ShpError::InvalidArgument("--p needs a number".into()))?
-            }
-            "--epsilon" => {
-                epsilon = value()?
-                    .parse()
-                    .map_err(|_| ShpError::InvalidArgument("--epsilon needs a number".into()))?
-            }
-            "--seed" => {
-                seed = value()?
-                    .parse()
-                    .map_err(|_| ShpError::InvalidArgument("--seed needs a number".into()))?
-            }
-            "--iterations" => {
-                iterations =
-                    Some(value()?.parse().map_err(|_| {
-                        ShpError::InvalidArgument("--iterations needs a number".into())
-                    })?)
-            }
-            "--workers" => {
-                workers = value()?
-                    .parse()
-                    .map_err(|_| ShpError::InvalidArgument("--workers needs a number".into()))?
-            }
-            "--metrics" => metrics = Some(value()?.clone()),
-            other => {
-                return Err(ShpError::InvalidArgument(format!(
-                    "unknown option {other:?}"
-                )))
-            }
-        }
-        i += 2;
-    }
+fn cmd_partition(args: &Args) -> ShpResult<()> {
+    let input: String = args.positional(0)?;
+    let k: u32 = args.positional(1)?;
+    let output: String = args.positional(2)?;
+    let mode: String = args.value("--mode")?;
+    let p: f64 = args.value("--p")?;
+    let workers: usize = args.value("--workers")?;
+    let metrics: Option<String> = args.optional("--metrics")?;
 
     let objective = if p >= 1.0 {
         ObjectiveKind::Fanout
@@ -513,30 +687,30 @@ fn cmd_partition(args: &[String]) -> ShpResult<()> {
     };
     let mut spec = PartitionSpec::new(k)
         .with_objective(objective)
-        .with_epsilon(epsilon)
-        .with_seed(seed)
+        .with_epsilon(args.value("--epsilon")?)
+        .with_seed(args.value("--seed")?)
         .with_workers(workers);
-    if let Some(iters) = iterations {
+    if let Some(iters) = args.optional("--iterations")? {
         spec = spec.with_max_iterations(iters);
     }
 
-    let graph = if mmap {
+    let graph = if args.switch("--mmap") {
         // Zero-copy open: adjacency stays on disk behind borrowed views; the kernel pages in
         // only what the partitioner touches.
-        io::map_shpb_file(input)?
+        io::map_shpb_file(&input)?
     } else {
-        io::read_graph_file_with(input, workers)?
+        io::read_graph_file_with(&input, workers)?
     };
     let registry = full_registry();
     let outcome = registry.run(&mode, &graph, &spec, &mut NoopObserver)?;
-    io::write_partition_file(&outcome.partition, output)?;
+    io::write_partition_file(&outcome.partition, &output)?;
     if let Some(path) = metrics.as_deref() {
         // The partition phases record into the process-global registry; one snapshot after
         // the run captures parse, CSR build, levels, refinement, and balance repair.
         write_metrics_file(path, &shp_telemetry::global().snapshot())?;
         eprintln!("wrote telemetry snapshot to {path}");
     }
-    if json {
+    if args.switch("--json") {
         // Keep stdout machine-readable: exactly one JSON object, nothing else.
         println!("{}", outcome.to_json());
         eprintln!("wrote {output}");
@@ -560,23 +734,17 @@ fn print_outcome(outcome: &PartitionOutcome) {
     );
 }
 
-fn cmd_evaluate(args: &[String]) -> ShpResult<()> {
-    let (positional, json) = match args {
-        [a, b, c] => ([a, b, c], false),
-        [a, b, c, flag] if flag == "--json" => ([a, b, c], true),
-        _ => return Err(usage_error("evaluate needs 3 arguments")),
-    };
-    let [input, partition_path, k] = positional;
-    let k: u32 = k
-        .parse()
-        .map_err(|_| ShpError::InvalidArgument(format!("invalid k {k:?}")))?;
-    let graph = io::read_graph_file(input)?;
-    let partition = io::read_partition_file(&graph, k, partition_path)?;
+fn cmd_evaluate(args: &Args) -> ShpResult<()> {
+    let input: String = args.positional(0)?;
+    let partition_path: String = args.positional(1)?;
+    let k: u32 = args.positional(2)?;
+    let graph = io::read_graph_file(&input)?;
+    let partition = io::read_partition_file(&graph, k, &partition_path)?;
     let fanout = average_fanout(&graph, &partition);
     let p_fanout = average_p_fanout(&graph, &partition, 0.5);
     let cut = hyperedge_cut(&graph, &partition);
     let imbalance = partition.imbalance();
-    if json {
+    if args.switch("--json") {
         println!(
             "{{\"fanout\":{fanout:.6},\"p_fanout\":{p_fanout:.6},\"hyperedge_cut\":{cut},\
              \"imbalance\":{imbalance:.6},\"num_buckets\":{k}}}"
@@ -590,15 +758,12 @@ fn cmd_evaluate(args: &[String]) -> ShpResult<()> {
     Ok(())
 }
 
-/// Shared options of the serving subcommands.
+/// The options `replay` and `serve` share.
 struct ServeOptions {
     dataset: Dataset,
     /// Serve a graph loaded from this file (any supported format) instead of a generated
     /// dataset; a `.shpb` snapshot makes the warm start skip parsing entirely.
     graph: Option<String>,
-    /// Warm-start serving from this partition file instead of a random placement (serve
-    /// subcommand only).
-    partition: Option<String>,
     scale: f64,
     shards: u32,
     rate: f64,
@@ -610,11 +775,6 @@ struct ServeOptions {
     /// Export the run's telemetry snapshot to this file (rewritten roughly once a second
     /// while the workload runs): JSON, or Prometheus text if the path ends in `.prom`.
     metrics: Option<String>,
-    /// Online repartitioning cadence: one controller epoch every this many served multigets.
-    /// 0 (the default) keeps the classic one-shot background SHP-2 warm start.
-    repartition_every: usize,
-    /// Per-epoch migration budget for online repartitioning (keys moved per delta install).
-    migration_budget: usize,
     /// Memory-map the `--graph` file (must be a `.shpb` container) instead of loading it
     /// onto the heap: the warm start validates the header and offsets plus one checksum
     /// pass, then serves adjacency straight from the page cache.
@@ -622,135 +782,38 @@ struct ServeOptions {
 }
 
 impl ServeOptions {
-    fn parse(args: &[String]) -> ShpResult<Self> {
-        let mut options = ServeOptions {
-            dataset: Dataset::EmailEnron,
-            graph: None,
-            partition: None,
-            scale: 0.05,
-            shards: 16,
-            rate: 200.0,
-            duration: 60.0,
-            clients: 4,
-            cache: 0,
-            seed: 0x5047,
-            workers: 4,
-            metrics: None,
-            repartition_every: 0,
-            migration_budget: 256,
-            mmap: false,
+    fn from_args(args: &Args) -> ShpResult<Self> {
+        let invalid = |message: &str| Err(ShpError::InvalidArgument(message.into()));
+        let name: String = args.value("--dataset")?;
+        let options = ServeOptions {
+            dataset: Dataset::from_name(&name)
+                .ok_or_else(|| ShpError::InvalidArgument(format!("unknown dataset {name:?}")))?,
+            graph: args.optional("--graph")?,
+            scale: args.value("--scale")?,
+            shards: args.value("--shards")?,
+            rate: args.value("--rate")?,
+            duration: args.value("--duration")?,
+            clients: args.value("--clients")?,
+            cache: args.value("--cache")?,
+            seed: args.value("--seed")?,
+            workers: args.value("--workers")?,
+            metrics: args.optional("--metrics")?,
+            mmap: args.switch("--mmap"),
         };
-        let invalid = |message: String| ShpError::InvalidArgument(message);
-        let mut i = 0;
-        while i < args.len() {
-            if args[i] == "--mmap" {
-                options.mmap = true;
-                i += 1;
-                continue;
-            }
-            // Recognize the flag before demanding a value, so an unknown trailing flag is
-            // reported as unknown rather than as missing its (nonexistent) value.
-            if !matches!(
-                args[i].as_str(),
-                "--dataset"
-                    | "--graph"
-                    | "--partition"
-                    | "--scale"
-                    | "--shards"
-                    | "--rate"
-                    | "--duration"
-                    | "--clients"
-                    | "--cache"
-                    | "--seed"
-                    | "--workers"
-                    | "--metrics"
-                    | "--repartition-every"
-                    | "--migration-budget"
-            ) {
-                return Err(invalid(format!("unknown option {:?}", args[i])));
-            }
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| invalid(format!("{} needs a value", args[i])))?;
-            match args[i].as_str() {
-                "--dataset" => {
-                    options.dataset = Dataset::from_name(value)
-                        .ok_or_else(|| invalid(format!("unknown dataset {value:?}")))?;
-                }
-                "--graph" => options.graph = Some(value.clone()),
-                "--partition" => options.partition = Some(value.clone()),
-                "--scale" => {
-                    options.scale = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid scale {value:?}")))?;
-                    if !(options.scale > 0.0 && options.scale <= 1.0) {
-                        return Err(invalid("scale must lie in (0, 1]".into()));
-                    }
-                }
-                "--shards" => {
-                    options.shards = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid shard count {value:?}")))?;
-                    if options.shards < 2 {
-                        return Err(invalid("at least 2 shards are required".into()));
-                    }
-                }
-                "--rate" => {
-                    options.rate = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid rate {value:?}")))?;
-                    if !(options.rate > 0.0 && options.rate.is_finite()) {
-                        return Err(invalid("rate must be a positive number".into()));
-                    }
-                }
-                "--duration" => {
-                    options.duration = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid duration {value:?}")))?;
-                    if !(options.duration > 0.0 && options.duration.is_finite()) {
-                        return Err(invalid("duration must be a positive number".into()));
-                    }
-                }
-                "--clients" => {
-                    options.clients = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid client count {value:?}")))?;
-                }
-                "--cache" => {
-                    options.cache = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid cache capacity {value:?}")))?;
-                }
-                "--seed" => {
-                    options.seed = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid seed {value:?}")))?;
-                }
-                "--workers" => {
-                    options.workers = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid worker count {value:?}")))?;
-                    if options.workers == 0 {
-                        return Err(invalid("at least 1 worker is required".into()));
-                    }
-                }
-                "--metrics" => options.metrics = Some(value.clone()),
-                "--repartition-every" => {
-                    options.repartition_every = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid repartition cadence {value:?}")))?;
-                }
-                "--migration-budget" => {
-                    options.migration_budget = value
-                        .parse()
-                        .map_err(|_| invalid(format!("invalid migration budget {value:?}")))?;
-                    if options.migration_budget == 0 {
-                        return Err(invalid("the migration budget must be at least 1".into()));
-                    }
-                }
-                _ => unreachable!("flag names are checked above"),
-            }
-            i += 2;
+        if !(options.scale > 0.0 && options.scale <= 1.0) {
+            return invalid("scale must lie in (0, 1]");
+        }
+        if options.shards < 2 {
+            return invalid("at least 2 shards are required");
+        }
+        if !(options.rate > 0.0 && options.rate.is_finite()) {
+            return invalid("rate must be a positive number");
+        }
+        if !(options.duration > 0.0 && options.duration.is_finite()) {
+            return invalid("duration must be a positive number");
+        }
+        if options.workers == 0 {
+            return invalid("at least 1 worker is required");
         }
         Ok(options)
     }
@@ -773,13 +836,16 @@ impl ServeOptions {
     }
 
     /// The serving graph plus the optional on-disk placement: from `--graph` (and
-    /// `--partition`) through the serving bootstrap, or a generated dataset otherwise.
-    fn load_warm_start(&self) -> ShpResult<(BipartiteGraph, Option<shp_hypergraph::Partition>)> {
+    /// `partition`) through the serving bootstrap, or a generated dataset otherwise.
+    fn load_warm_start(
+        &self,
+        partition: Option<&str>,
+    ) -> ShpResult<(BipartiteGraph, Option<shp_hypergraph::Partition>)> {
         match &self.graph {
             Some(path) => {
                 let warm = shp_serving::load_warm_start_with(
                     path,
-                    self.partition.as_ref(),
+                    partition,
                     self.shards,
                     self.workers,
                     self.mmap,
@@ -794,7 +860,7 @@ impl ServeOptions {
                             .into(),
                     ));
                 }
-                if self.partition.is_some() {
+                if partition.is_some() {
                     return Err(ShpError::InvalidArgument(
                         "--partition requires --graph (a generated dataset has no saved \
                          placement)"
@@ -832,19 +898,38 @@ impl ServeOptions {
     }
 }
 
-fn cmd_replay(args: &[String]) -> ShpResult<()> {
-    let options = ServeOptions::parse(args)?;
-    if options.partition.is_some() {
-        return Err(ShpError::InvalidArgument(
-            "--partition is only meaningful for `shp serve`".into(),
-        ));
-    }
-    if options.repartition_every != 0 {
-        return Err(ShpError::InvalidArgument(
-            "--repartition-every is only meaningful for `shp serve`".into(),
-        ));
-    }
-    let (graph, _) = options.load_warm_start()?;
+/// Serves `events` from `clients` threads, each taking one contiguous slice of the schedule
+/// and bumping `progress` once per answered multiget; returns once every client finished.
+fn serve_clients(
+    engine: &ServingEngine,
+    graph: &BipartiteGraph,
+    events: &[WorkloadEvent],
+    clients: usize,
+    progress: &AtomicUsize,
+) -> ShpResult<()> {
+    let chunk = events.len().div_ceil(clients.max(1)).max(1);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = events
+            .chunks(chunk)
+            .map(|slice| {
+                scope.spawn(move || -> ShpResult<()> {
+                    for event in slice {
+                        engine.multiget(graph.query_neighbors(event.query))?;
+                        progress.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Ok(())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .try_for_each(|handle| handle.join().expect("client thread panicked"))
+    })
+}
+
+fn cmd_replay(args: &Args) -> ShpResult<()> {
+    let options = ServeOptions::from_args(args)?;
+    let (graph, _) = options.load_warm_start(None)?;
     println!(
         "workload: {} ({} queries, {} keys), {} shards, rate {}/t for {}t, {} clients",
         options.graph_label(),
@@ -915,9 +1000,17 @@ fn cmd_replay(args: &[String]) -> ShpResult<()> {
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> ShpResult<()> {
-    let options = ServeOptions::parse(args)?;
-    let (graph, loaded_partition) = options.load_warm_start()?;
+fn cmd_serve(args: &Args) -> ShpResult<()> {
+    let options = ServeOptions::from_args(args)?;
+    let partition_path: Option<String> = args.optional("--partition")?;
+    let every: usize = args.value("--repartition-every")?;
+    let budget: usize = args.value("--migration-budget")?;
+    if budget == 0 {
+        return Err(ShpError::InvalidArgument(
+            "the migration budget must be at least 1".into(),
+        ));
+    }
+    let (graph, loaded_partition) = options.load_warm_start(partition_path.as_deref())?;
     let events = open_loop_schedule(graph.num_queries(), &options.workload());
     let start = match loaded_partition {
         Some(partition) => {
@@ -927,7 +1020,7 @@ fn cmd_serve(args: &[String]) -> ShpResult<()> {
                 events.len(),
                 graph.num_data(),
                 options.shards,
-                options.partition.as_deref().unwrap_or("?"),
+                partition_path.as_deref().unwrap_or("?"),
             );
             partition
         }
@@ -942,8 +1035,8 @@ fn cmd_serve(args: &[String]) -> ShpResult<()> {
             RandomPartitioner::new(options.seed).partition_into(&graph, options.shards, 0.05)
         }
     };
-    if options.repartition_every > 0 {
-        return serve_online(&options, &graph, &events, &start);
+    if every > 0 {
+        return serve_online(&options, &graph, &events, &start, every, budget);
     }
     let engine = ServingEngine::new(&start, options.engine_config())?;
 
@@ -955,60 +1048,22 @@ fn cmd_serve(args: &[String]) -> ShpResult<()> {
     let shp = options.shp_outcome(&registry, &graph)?;
     let progress = AtomicUsize::new(0);
     let swap_at = events.len() / 2;
-    let chunk = events.len().div_ceil(options.clients.max(1)).max(1);
-    let snapshot_now = || {
-        let mut live = engine.telemetry_snapshot("serving");
-        live.merge(&shp_telemetry::global().snapshot());
-        live
-    };
-    let outcome: ShpResult<()> =
-        with_periodic_snapshots(options.metrics.as_deref(), &snapshot_now, || {
-            std::thread::scope(|scope| {
-                let engine_ref = &engine;
-                let graph_ref = &graph;
-                let progress_ref = &progress;
-                let shp_ref = &shp;
-                let swapper = scope.spawn(move || -> ShpResult<u64> {
-                    while progress_ref.load(Ordering::Relaxed) < swap_at {
-                        std::thread::yield_now();
-                    }
-                    Ok(engine_ref.warm_start(shp_ref)?)
-                });
-                let clients: Vec<_> = events
-                    .chunks(chunk)
-                    .map(|slice| {
-                        scope.spawn(move || -> ShpResult<()> {
-                            for event in slice {
-                                engine_ref.multiget(graph_ref.query_neighbors(event.query))?;
-                                progress_ref.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Ok(())
-                        })
-                    })
-                    .collect();
-                for client in clients {
-                    client.join().expect("client thread panicked")?;
+    let snapshot_now = || live_snapshot(&engine);
+    with_periodic_snapshots(options.metrics.as_deref(), &snapshot_now, || {
+        std::thread::scope(|scope| {
+            let swapper = scope.spawn(|| -> ShpResult<u64> {
+                while progress.load(Ordering::Relaxed) < swap_at {
+                    std::thread::yield_now();
                 }
-                let epoch = swapper.join().expect("swapper thread panicked")?;
-                println!("installed SHP-2 partition live at epoch {epoch}");
-                Ok(())
-            })
-        });
-    outcome?;
-    if let Some(path) = options.metrics.as_deref() {
-        write_metrics_file(path, &snapshot_now())?;
-        println!("wrote telemetry snapshot to {path}");
-    }
-
-    let report = engine.report();
-    println!("\n{report}");
-    if report.queries != events.len() as u64 {
-        return Err(ShpError::Runtime(format!(
-            "serving gap: only {} of {} multigets were served",
-            report.queries,
-            events.len()
-        )));
-    }
+                Ok(engine.warm_start(&shp)?)
+            });
+            serve_clients(&engine, &graph, &events, options.clients, &progress)?;
+            let epoch = swapper.join().expect("swapper thread panicked")?;
+            println!("installed SHP-2 partition live at epoch {epoch}");
+            Ok(())
+        })
+    })?;
+    let report = final_report(&options, &engine, events.len())?;
     if report.max_epoch == 0 {
         return Err(ShpError::Runtime(
             "the run finished before the repartition could be installed; \
@@ -1023,6 +1078,35 @@ fn cmd_serve(args: &[String]) -> ShpResult<()> {
     Ok(())
 }
 
+/// The serving engine's telemetry folded with the process-global registry.
+fn live_snapshot(engine: &ServingEngine) -> Snapshot {
+    let mut live = engine.telemetry_snapshot("serving");
+    live.merge(&shp_telemetry::global().snapshot());
+    live
+}
+
+/// Writes the final `--metrics` snapshot and prints the engine's report, failing if any of
+/// the `scheduled` multigets went unanswered.
+fn final_report(
+    options: &ServeOptions,
+    engine: &ServingEngine,
+    scheduled: usize,
+) -> ShpResult<shp_serving::ServingReport> {
+    if let Some(path) = options.metrics.as_deref() {
+        write_metrics_file(path, &live_snapshot(engine))?;
+        println!("wrote telemetry snapshot to {path}");
+    }
+    let report = engine.report();
+    println!("\n{report}");
+    if report.queries != scheduled as u64 {
+        return Err(ShpError::Runtime(format!(
+            "serving gap: only {} of {scheduled} multigets were served",
+            report.queries
+        )));
+    }
+    Ok(report)
+}
+
 /// `shp serve --repartition-every <n>`: the closed observe→repartition loop, live.
 ///
 /// A bounded [`AccessTraceCollector`] rides the multiget hot path as the engine's access
@@ -1033,128 +1117,85 @@ fn serve_online(
     graph: &BipartiteGraph,
     events: &[WorkloadEvent],
     start: &shp_hypergraph::Partition,
+    every: usize,
+    migration_budget: usize,
 ) -> ShpResult<()> {
     let collector = Arc::new(AccessTraceCollector::new(
-        options.repartition_every.clamp(64, 4096),
+        every.clamp(64, 4096),
         options.seed,
     ));
     let engine =
         ServingEngine::new(start, options.engine_config())?.with_access_observer(collector.clone());
-    let controller = RepartitionController::new(
+    let mut controller = RepartitionController::new(
         collector,
         ControllerConfig {
-            migration_budget: options.migration_budget,
+            migration_budget,
             seed: options.seed,
             ..ControllerConfig::default()
         },
     );
     println!(
-        "online repartitioning: one controller epoch every {} multigets, migration budget {} \
-         keys/epoch",
-        options.repartition_every, options.migration_budget
+        "online repartitioning: one controller epoch every {every} multigets, migration budget \
+         {migration_budget} keys/epoch"
     );
 
     let progress = AtomicUsize::new(0);
     let done = AtomicBool::new(false);
-    let chunk = events.len().div_ceil(options.clients.max(1)).max(1);
-    let snapshot_now = || {
-        let mut live = engine.telemetry_snapshot("serving");
-        live.merge(&shp_telemetry::global().snapshot());
-        live
-    };
-    let (epochs_run, cumulative_moved, epochs_skipped) =
-        with_periodic_snapshots(options.metrics.as_deref(), &snapshot_now, || {
-            std::thread::scope(|scope| {
-                let engine_ref = &engine;
-                let graph_ref = &graph;
-                let progress_ref = &progress;
-                let done_ref = &done;
-                let every = options.repartition_every;
-                let mut controller = controller;
-                let driver = scope.spawn(move || -> (usize, usize, usize) {
-                    let mut boundary = every;
-                    loop {
-                        while progress_ref.load(Ordering::Relaxed) < boundary {
-                            if done_ref.load(Ordering::Relaxed) {
-                                return (
-                                    controller.epochs_run(),
-                                    controller.cumulative_moved(),
-                                    controller.epochs_skipped(),
-                                );
-                            }
-                            std::thread::yield_now();
+    let snapshot_now = || live_snapshot(&engine);
+    with_periodic_snapshots(options.metrics.as_deref(), &snapshot_now, || {
+        std::thread::scope(|scope| {
+            let epoch_loop = scope.spawn(|| {
+                let mut boundary = every;
+                loop {
+                    while progress.load(Ordering::Relaxed) < boundary {
+                        if done.load(Ordering::Relaxed) {
+                            return;
                         }
-                        // A failed epoch (infeasible budget, torn trace, ...) must not tear
-                        // down serving: skip it, report why, and keep the loop alive.
-                        let skipped_before = controller.epochs_skipped();
-                        match controller.run_epoch_or_skip(engine_ref) {
-                            Some(outcome) => println!(
-                                "epoch {}: moved {} keys (observed fanout {:.3} -> {:.3} over \
-                                 {} multigets)",
-                                outcome.epoch,
-                                outcome.moved_keys,
-                                outcome.fanout_before,
-                                outcome.fanout_after,
-                                outcome.observed_queries
-                            ),
-                            None if controller.epochs_skipped() > skipped_before => eprintln!(
-                                "repartition epoch skipped (serving continues): {}",
-                                controller.last_skip_reason().unwrap_or("unknown failure")
-                            ),
-                            None => {}
-                        }
-                        boundary += every;
+                        std::thread::yield_now();
                     }
-                });
-                let clients: Vec<_> = events
-                    .chunks(chunk)
-                    .map(|slice| {
-                        scope.spawn(move || -> ShpResult<()> {
-                            for event in slice {
-                                engine_ref.multiget(graph_ref.query_neighbors(event.query))?;
-                                progress_ref.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Ok(())
-                        })
-                    })
-                    .collect();
-                for client in clients {
-                    client.join().expect("client thread panicked")?;
+                    // A failed epoch (infeasible budget, torn trace, ...) must not tear down
+                    // serving: skip it, report why, and keep the loop alive.
+                    let skipped_before = controller.epochs_skipped();
+                    match controller.run_epoch_or_skip(&engine) {
+                        Some(outcome) => println!(
+                            "epoch {}: moved {} keys (observed fanout {:.3} -> {:.3} over {} \
+                             multigets)",
+                            outcome.epoch,
+                            outcome.moved_keys,
+                            outcome.fanout_before,
+                            outcome.fanout_after,
+                            outcome.observed_queries
+                        ),
+                        None if controller.epochs_skipped() > skipped_before => eprintln!(
+                            "repartition epoch skipped (serving continues): {}",
+                            controller.last_skip_reason().unwrap_or("unknown failure")
+                        ),
+                        None => {}
+                    }
+                    boundary += every;
                 }
-                done.store(true, Ordering::Relaxed);
-                Ok(driver.join().expect("controller thread panicked"))
-            })
-        })?;
-    if let Some(path) = options.metrics.as_deref() {
-        write_metrics_file(path, &snapshot_now())?;
-        println!("wrote telemetry snapshot to {path}");
-    }
-
-    let report = engine.report();
-    println!("\n{report}");
-    if report.queries != events.len() as u64 {
+            });
+            let served = serve_clients(&engine, graph, events, options.clients, &progress);
+            done.store(true, Ordering::Relaxed);
+            epoch_loop.join().expect("controller thread panicked");
+            served
+        })
+    })?;
+    final_report(options, &engine, events.len())?;
+    if controller.epochs_run() == 0 {
         return Err(ShpError::Runtime(format!(
-            "serving gap: only {} of {} multigets were served",
-            report.queries,
-            events.len()
-        )));
-    }
-    if epochs_run == 0 {
-        return Err(ShpError::Runtime(format!(
-            "no controller epoch succeeded: the schedule served {} multigets at cadence {} \
+            "no controller epoch succeeded: the schedule served {} multigets at cadence {every} \
              ({} epoch(s) skipped); lower --repartition-every or raise --rate/--duration",
             events.len(),
-            options.repartition_every,
-            epochs_skipped
+            controller.epochs_skipped()
         )));
     }
     println!(
         "\nonline loop closed: {} controller epoch(s) ({} skipped), {} key(s) moved in total \
-         (budget {} keys/epoch), final epoch {}",
-        epochs_run,
-        epochs_skipped,
-        cumulative_moved,
-        options.migration_budget,
+         (budget {migration_budget} keys/epoch), final epoch {}",
+        controller.epochs_run(),
+        controller.epochs_skipped(),
+        controller.cumulative_moved(),
         engine.current_epoch()
     );
     Ok(())
@@ -1188,64 +1229,20 @@ fn drift_report_json(report: &DriftReport) -> String {
     )
 }
 
-fn cmd_controller(args: &[String]) -> ShpResult<()> {
-    let mut quick = false;
-    let mut json = false;
-    let mut phases: Option<usize> = None;
-    let mut every: Option<usize> = None;
-    let mut budget: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--quick" || flag == "--json" {
-            if flag == "--quick" {
-                quick = true;
-            } else {
-                json = true;
-            }
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| ShpError::InvalidArgument(format!("{flag} needs a value")))?;
-        let parsed = |what: &str| {
-            value
-                .parse::<usize>()
-                .map_err(|_| ShpError::InvalidArgument(format!("invalid {what} {value:?}")))
-        };
-        match flag {
-            "--phases" => phases = Some(parsed("phase count")?),
-            "--every" => every = Some(parsed("epoch cadence")?),
-            "--budget" => budget = Some(parsed("migration budget")?),
-            "--seed" => {
-                seed =
-                    Some(value.parse().map_err(|_| {
-                        ShpError::InvalidArgument(format!("invalid seed {value:?}"))
-                    })?)
-            }
-            other => return Err(usage_error(format!("unknown option {other:?}"))),
-        }
-        i += 2;
-    }
-
+fn cmd_controller(args: &Args) -> ShpResult<()> {
     let mut config = DriftConfig::default();
-    if quick {
+    if args.switch("--quick") {
         config = config.quick();
     }
-    if let Some(phases) = phases {
-        config.phases = phases;
-    }
-    if let Some(every) = every {
-        config.repartition_every = every;
-    }
-    if let Some(budget) = budget {
-        config.migration_budget = budget;
-    }
-    if let Some(seed) = seed {
-        config.seed = seed;
-    }
+    config.phases = args.optional("--phases")?.unwrap_or(config.phases);
+    config.repartition_every = args
+        .optional("--every")?
+        .unwrap_or(config.repartition_every);
+    config.migration_budget = args
+        .optional("--budget")?
+        .unwrap_or(config.migration_budget);
+    config.seed = args.optional("--seed")?.unwrap_or(config.seed);
+    let json = args.switch("--json");
     if config.phases == 0 || config.repartition_every == 0 || config.migration_budget == 0 {
         return Err(ShpError::InvalidArgument(
             "--phases, --every, and --budget must all be at least 1".into(),
@@ -1414,64 +1411,20 @@ fn check_drill_gates(report: &DrillReport) -> ShpResult<()> {
     Ok(())
 }
 
-fn cmd_drill(args: &[String]) -> ShpResult<()> {
-    let mut quick = false;
-    let mut json = false;
-    let mut budget: Option<usize> = None;
-    let mut replication: Option<u32> = None;
-    let mut seed: Option<u64> = None;
-    let mut metrics: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--quick" || flag == "--json" {
-            if flag == "--quick" {
-                quick = true;
-            } else {
-                json = true;
-            }
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| ShpError::InvalidArgument(format!("{flag} needs a value")))?;
-        match flag {
-            "--budget" => {
-                budget = Some(value.parse().map_err(|_| {
-                    ShpError::InvalidArgument(format!("invalid migration budget {value:?}"))
-                })?)
-            }
-            "--replication" => {
-                replication = Some(value.parse().map_err(|_| {
-                    ShpError::InvalidArgument(format!("invalid replication factor {value:?}"))
-                })?)
-            }
-            "--seed" => {
-                seed =
-                    Some(value.parse().map_err(|_| {
-                        ShpError::InvalidArgument(format!("invalid seed {value:?}"))
-                    })?)
-            }
-            "--metrics" => metrics = Some(value.clone()),
-            other => return Err(usage_error(format!("unknown option {other:?}"))),
-        }
-        i += 2;
-    }
-
+fn cmd_drill(args: &Args) -> ShpResult<()> {
     let mut config = DrillConfig::default();
-    if quick {
+    if args.switch("--quick") {
         config = config.quick();
     }
-    if let Some(budget) = budget {
-        config.migration_budget = budget;
-    }
-    if let Some(replication) = replication {
-        config.replication = replication;
-    }
-    if let Some(seed) = seed {
-        config.seed = seed;
-    }
+    config.migration_budget = args
+        .optional("--budget")?
+        .unwrap_or(config.migration_budget);
+    config.replication = args
+        .optional("--replication")?
+        .unwrap_or(config.replication);
+    config.seed = args.optional("--seed")?.unwrap_or(config.seed);
+    let json = args.switch("--json");
+    let metrics: Option<String> = args.optional("--metrics")?;
 
     if !json {
         println!(

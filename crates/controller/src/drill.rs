@@ -66,7 +66,7 @@ pub struct DrillConfig {
     pub slow_shard: u32,
     /// Latency multiplier of `slow_shard` during the incident phase (`> 1`).
     pub slow_factor: f64,
-    /// Hard cap on keys moved per recovery epoch.
+    /// Hard cap on keys moved per recovery epoch (at least 1).
     pub migration_budget: usize,
     /// Recovery cadence: one `recover_dead_shard` epoch every this many queries.
     pub recover_every: usize,
@@ -228,6 +228,12 @@ fn validate(config: &DrillConfig) -> ShpResult<()> {
     if config.queries_per_phase == 0 || config.recover_every == 0 {
         return Err(ShpError::InvalidConfig(
             "queries_per_phase and recover_every must be positive".to_string(),
+        ));
+    }
+    if config.migration_budget == 0 {
+        return Err(ShpError::InvalidConfig(
+            "migration_budget must be at least 1 (recovery could never drain the dead shard)"
+                .to_string(),
         ));
     }
     Ok(())
@@ -594,9 +600,16 @@ mod tests {
                 recover_every: 0,
                 ..tiny()
             },
+            DrillConfig {
+                migration_budget: 0,
+                ..tiny()
+            },
         ];
         for config in cases {
-            assert!(run_drill_scenario(&config).is_err(), "{config:?} accepted");
+            assert!(
+                matches!(run_drill_scenario(&config), Err(ShpError::InvalidConfig(_))),
+                "{config:?} accepted"
+            );
         }
     }
 }

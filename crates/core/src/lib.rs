@@ -30,10 +30,10 @@
 //! unified [`api`] module — one [`api::Partitioner`] trait, one [`api::PartitionSpec`], one
 //! [`api::PartitionOutcome`], and a runtime [`api::AlgorithmRegistry`] for dispatch by name.
 //!
-//! The easiest in-process entry point is [`SocialHashPartitioner`]:
+//! For example, SHP-2 through the registry:
 //!
 //! ```
-//! use shp_core::{ShpConfig, SocialHashPartitioner};
+//! use shp_core::api::{AlgorithmRegistry, NoopObserver, PartitionSpec};
 //! use shp_hypergraph::GraphBuilder;
 //!
 //! // Three queries over six data records (Figure 1 of the paper).
@@ -43,10 +43,12 @@
 //! builder.add_query([3, 4, 5]);
 //! let graph = builder.build().unwrap();
 //!
-//! let partitioner = SocialHashPartitioner::new(ShpConfig::recursive_bisection(2)).unwrap();
-//! let result = partitioner.partition(&graph);
-//! assert_eq!(result.partition.num_buckets(), 2);
-//! assert!(result.report.final_fanout <= 3.0);
+//! let spec = PartitionSpec::new(2);
+//! let outcome = AlgorithmRegistry::core()
+//!     .run("shp2", &graph, &spec, &mut NoopObserver)
+//!     .unwrap();
+//! assert_eq!(outcome.partition.num_buckets(), 2);
+//! assert!(outcome.fanout <= 3.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -87,81 +89,3 @@ pub use pair_table::PairTable;
 pub use recursive::partition_recursive;
 pub use refinement::{ActiveSet, IterationStats, Refiner};
 pub use report::{LevelReport, PartitionResult, RunReport};
-
-use shp_hypergraph::BipartiteGraph;
-
-/// High-level entry point dispatching to direct (SHP-k) or recursive (SHP-2 / SHP-r) mode based
-/// on the configuration.
-#[derive(Debug, Clone)]
-pub struct SocialHashPartitioner {
-    config: ShpConfig,
-}
-
-impl SocialHashPartitioner {
-    /// Creates a partitioner, validating the configuration.
-    ///
-    /// # Errors
-    /// Returns [`ShpError::InvalidConfig`] for invalid configurations (zero buckets, `p`
-    /// outside `(0, 1)`, negative `ε`, …).
-    pub fn new(config: ShpConfig) -> ShpResult<Self> {
-        config.validate()?;
-        Ok(SocialHashPartitioner { config })
-    }
-
-    /// The configuration the partitioner was built with.
-    pub fn config(&self) -> &ShpConfig {
-        &self.config
-    }
-
-    /// Partitions the graph according to the configured mode.
-    pub fn partition(&self, graph: &BipartiteGraph) -> PartitionResult {
-        let result = match self.config.mode {
-            PartitionMode::Direct => partition_direct(graph, &self.config),
-            PartitionMode::Recursive { .. } => partition_recursive(graph, &self.config),
-        };
-        result.expect("configuration was validated at construction time")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use shp_hypergraph::GraphBuilder;
-
-    fn small_graph() -> BipartiteGraph {
-        let mut b = GraphBuilder::new();
-        for g in 0..4u32 {
-            let members: Vec<u32> = (0..6).map(|i| g * 6 + i).collect();
-            for _ in 0..4 {
-                b.add_query(members.clone());
-            }
-        }
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn facade_dispatches_to_both_modes() {
-        let graph = small_graph();
-        let recursive = SocialHashPartitioner::new(ShpConfig::recursive_bisection(4)).unwrap();
-        let direct = SocialHashPartitioner::new(ShpConfig::direct(4)).unwrap();
-        let r = recursive.partition(&graph);
-        let d = direct.partition(&graph);
-        assert_eq!(r.partition.num_buckets(), 4);
-        assert_eq!(d.partition.num_buckets(), 4);
-        assert!(!r.report.levels.is_empty());
-        assert!(d.report.levels.is_empty());
-    }
-
-    #[test]
-    fn facade_rejects_invalid_config() {
-        assert!(SocialHashPartitioner::new(ShpConfig::direct(0)).is_err());
-        assert!(SocialHashPartitioner::new(ShpConfig::direct(4).with_p(2.0)).is_err());
-    }
-
-    #[test]
-    fn config_accessor_returns_the_config() {
-        let config = ShpConfig::direct(16).with_seed(5);
-        let p = SocialHashPartitioner::new(config.clone()).unwrap();
-        assert_eq!(p.config(), &config);
-    }
-}

@@ -4,7 +4,6 @@
 use shp::baselines::RandomPartitioner;
 use shp::core::{
     partition_direct, partition_distributed, partition_recursive, ObjectiveKind, ShpConfig,
-    SocialHashPartitioner,
 };
 use shp::datagen::{planted_partition, social_graph, Dataset, PlantedConfig, SocialGraphConfig};
 use shp::hypergraph::{average_fanout, average_p_fanout, io, GraphStats};
@@ -92,9 +91,8 @@ fn facade_partitioner_roundtrips_through_hmetis_files() {
     let reread = io::read_hmetis_file(&graph_path).unwrap();
     assert_eq!(GraphStats::compute(&graph), GraphStats::compute(&reread));
 
-    let partitioner =
-        SocialHashPartitioner::new(ShpConfig::recursive_bisection(8).with_seed(7)).unwrap();
-    let result = partitioner.partition(&reread);
+    let result =
+        partition_recursive(&reread, &ShpConfig::recursive_bisection(8).with_seed(7)).unwrap();
     let part_path = dir.join("graph.part");
     io::write_partition_file(&result.partition, &part_path).unwrap();
     let reread_partition = io::read_partition_file(&reread, 8, &part_path).unwrap();
