@@ -24,7 +24,7 @@
 //! seed, and the query tick — no shared RNG streams, no wall clock. Two runs over the same
 //! query sequence observe byte-identical faults, and an **empty plan is indistinguishable
 //! from no injector at all** (the conformance property the serving tests pin down): the
-//! injector never touches the shard latency RNG streams, so healthy shards sample the exact
+//! injector never changes which requests a shard serves, so healthy shards draw the exact
 //! same service times with or without it.
 
 #![forbid(unsafe_code)]

@@ -19,7 +19,6 @@ use shp_faults::FaultInjector;
 use shp_hypergraph::{BipartiteGraph, DataId, Partition};
 use shp_sharding_sim::LatencyModel;
 use shp_telemetry::{HistogramSnapshot, Snapshot, Span, Timer, TopKSketch};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Slots in the per-engine hot-key access sketch (bounds its memory at 32 KiB).
@@ -49,7 +48,8 @@ pub struct EngineConfig {
     pub cache_capacity: usize,
     /// Latency (in units of the model's `t`) of a multiget answered entirely from the cache.
     pub cache_hit_latency: f64,
-    /// Seed for the per-shard latency RNG streams.
+    /// Seed of the simulated service times: a shard's `n`-th request in a generation samples
+    /// from a PCG seeded by a hash of (seed, epoch, shard, `n`).
     pub seed: u64,
     /// Replica-group size: every shard additionally stores the records of the `replication-1`
     /// primaries chained before it, giving each batch that many failover candidates. 1 (the
@@ -132,7 +132,7 @@ pub struct ServingEngine {
     metrics: ServingMetrics,
     config: EngineConfig,
     num_keys: usize,
-    next_epoch: AtomicU64,
+    /// Serializes installs: each numbers its generation one past the live epoch.
     install_lock: std::sync::Mutex<()>,
     /// Bounded per-key access-frequency sketch — the observation feed of the paper's
     /// serve→observe→repartition loop. Only written when telemetry is enabled.
@@ -144,9 +144,9 @@ pub struct ServingEngine {
     /// Optional access-trace sink, fed every multiget's distinct key-set (set at build time
     /// via [`ServingEngine::with_access_observer`], before the engine is shared).
     observer: Option<Arc<dyn AccessObserver>>,
-    /// Optional deterministic fault injector driving the failover execution paths (set at
-    /// build time via [`ServingEngine::with_fault_injector`]). `None` — the default — takes
-    /// the plain execution paths untouched.
+    /// Optional deterministic fault injector that makes batches walk their replica chains
+    /// (set at build time via [`ServingEngine::with_fault_injector`]). `None` — the default —
+    /// serves every batch from its primary.
     faults: Option<Arc<FaultInjector>>,
 }
 
@@ -171,7 +171,6 @@ impl ServingEngine {
             metrics: ServingMetrics::new(),
             config,
             num_keys,
-            next_epoch: AtomicU64::new(1),
             install_lock: std::sync::Mutex::new(()),
             tracer: TopKSketch::new(HOT_KEY_SLOTS),
             route_timer: shp_telemetry::global().timer("serving/route"),
@@ -189,7 +188,7 @@ impl ServingEngine {
     }
 
     /// Attaches a deterministic [`FaultInjector`]: every multiget advances its query clock
-    /// one tick and serves through the failover paths. With an empty
+    /// one tick and walks each batch's replica chain. With an empty
     /// [`FaultPlan`](shp_faults::FaultPlan) results are bit-identical to an engine without an
     /// injector. Builder style: call before the engine is shared across threads.
     pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
@@ -358,13 +357,12 @@ impl ServingEngine {
                 expected: self.num_keys,
             });
         }
-        // Serialize concurrent installs: epoch allocation and publication must happen in the
-        // same order, otherwise a slower build with a smaller epoch could be published last
-        // and the engine would serve an older placement than the last returned epoch.
-        // Readers are unaffected — they never take this lock.
+        // Serialize concurrent installs: each numbers its generation one past the live one
+        // and publishes it before the next install reads the live epoch, so epochs only grow
+        // and a rejected install uses none up. Readers never take this lock.
         let _install = self.install_lock.lock().expect("install lock poisoned");
         let _span = Span::enter("serving/epoch_swap");
-        let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
+        let epoch = self.current_epoch() + 1;
         let snapshot = PartitionSnapshot::from_partition(partition, epoch)?;
         let shards = ShardSet::build_replicated(
             &snapshot,
@@ -382,9 +380,9 @@ impl ServingEngine {
     ///
     /// The produced generation is bit-identical to what
     /// [`install_partition`](ServingEngine::install_partition) would build for the same
-    /// placement at the same epoch (same shard contents, RNG streams, and counters), which the
-    /// conformance tests assert; the full-map path stays as the oracle. Returns the installed
-    /// epoch.
+    /// placement at the same epoch (same shard contents, counters, and service-time draws),
+    /// which the conformance tests assert; the full-map path stays as the oracle. Returns the
+    /// installed epoch.
     ///
     /// # Errors
     /// Returns [`ServingError::StaleDelta`] when the delta's base epoch is not the live epoch
@@ -400,12 +398,11 @@ impl ServingEngine {
                 live_epoch: current.snapshot.epoch(),
             });
         }
-        let epoch = self.next_epoch.fetch_add(1, Ordering::Relaxed);
+        let epoch = current.snapshot.epoch() + 1;
         let snapshot = current.snapshot.apply_delta(delta, epoch)?;
-        let shards =
-            current
-                .shards
-                .apply_delta(&current.snapshot, delta, epoch, self.config.seed)?;
+        let shards = current
+            .shards
+            .apply_delta(&current.snapshot, delta, epoch)?;
         self.generation.swap(Generation { snapshot, shards });
         Ok(epoch)
     }
@@ -851,11 +848,37 @@ mod tests {
         // Oracle: a second engine taking the full-map path lands on the identical generation.
         let oracle = ServingEngine::new(&scattered, EngineConfig::default()).unwrap();
         oracle.install_partition(&aligned).unwrap();
+        // Replay the multiget `engine` served after its install: a shard's service time
+        // depends on how many requests it served before, so the histories must match.
+        oracle.multiget(&[0, 1, 2, 3]).unwrap();
         assert_eq!(engine.current_snapshot(), oracle.current_snapshot());
         let via_delta = engine.multiget(&[0, 5, 9]).unwrap();
         let via_full = oracle.multiget(&[0, 5, 9]).unwrap();
         assert_eq!(via_delta.values, via_full.values);
         assert_eq!(via_delta.latency, via_full.latency);
+    }
+
+    #[test]
+    fn a_rejected_install_uses_up_no_epoch() {
+        let graph = community_graph(3, 4);
+        let engine =
+            ServingEngine::new(&scattered_partition(&graph, 3, 4), EngineConfig::default())
+                .unwrap();
+        assert_eq!(
+            engine.install_delta(&PartitionDelta::new(0, vec![(0, 99)])),
+            Err(ServingError::ShardOutOfRange {
+                shard: 99,
+                num_shards: 3
+            })
+        );
+        assert_eq!(engine.current_epoch(), 0);
+        assert_eq!(engine.swap_count(), 0);
+        let epoch = engine
+            .install_delta(&PartitionDelta::new(0, vec![(0, 1)]))
+            .unwrap();
+        assert_eq!(epoch, 1);
+        assert_eq!(engine.current_epoch(), 1);
+        assert_eq!(engine.swap_count(), 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub enum ServingError {
     },
     /// A partition with zero buckets was offered.
     EmptyPartition,
-    /// A delta referenced a shard outside the live placement's shard set.
+    /// A delta or a route plan referenced a shard outside the live placement's shard set.
     ShardOutOfRange {
         /// Offending shard id.
         shard: u32,

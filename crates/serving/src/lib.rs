@@ -21,7 +21,8 @@
 //!   [`PartitionSnapshot`] — the fanout-defining step.
 //! * [`ShardSet`] holds the records in concurrent in-memory KV shards and charges each batch
 //!   a service time from `shp-sharding-sim`'s [`LatencyModel`](shp_sharding_sim::LatencyModel),
-//!   taking the max across batches (Figure 4's semantics).
+//!   taking the max across batches (Figure 4's semantics). A shard's `n`-th request draws
+//!   from a PCG seeded by a hash of (seed, epoch, shard, `n`), so no lock guards the draws.
 //! * [`EpochSwap`] / [`PartitionMap`] double-buffer the placement: a background repartition
 //!   (e.g. `shp_core::partition_incremental`) builds the next generation **off the serving
 //!   path**, then installs it with one atomic pointer swap — readers in flight finish on the

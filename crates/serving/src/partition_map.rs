@@ -125,19 +125,6 @@ impl PartitionSnapshot {
         by_shard
     }
 
-    /// The chained replica group serving keys whose primary is `primary`: shard
-    /// `(primary + r) % num_shards` holds replica `r`, for `r` in `0..replication`.
-    ///
-    /// Replication is clamped to `1..=num_shards` so the group never wraps onto itself; the
-    /// first candidate is always the primary, making the no-fault path independent of the
-    /// replication factor.
-    pub fn replica_group(&self, primary: u32, replication: u32) -> Vec<u32> {
-        let n = self.num_shards.max(1);
-        (0..replication.clamp(1, n))
-            .map(|r| (primary + r) % n)
-            .collect()
-    }
-
     /// Produces the next generation's snapshot by applying `delta` on top of this one,
     /// copy-on-writing only the pages that contain a moved key. Every untouched page is shared
     /// (`Arc`) with this snapshot.
@@ -358,13 +345,18 @@ mod tests {
     #[test]
     fn replica_groups_chain_and_clamp() {
         let s = PartitionSnapshot::from_partition(&partition(4, vec![0, 1, 2, 3]), 0).unwrap();
-        assert_eq!(s.replica_group(1, 1), vec![1]);
-        assert_eq!(s.replica_group(1, 2), vec![1, 2]);
-        assert_eq!(s.replica_group(3, 3), vec![3, 0, 1]);
+        let group = |key, replication| {
+            let primary = s.shard_of(key).unwrap();
+            crate::store::ShardSet::replica_chain(primary, s.num_shards(), replication)
+                .collect::<Vec<u32>>()
+        };
+        assert_eq!(group(1, 1), vec![1]);
+        assert_eq!(group(1, 2), vec![1, 2]);
+        assert_eq!(group(3, 3), vec![3, 0, 1]);
         // Replication above the shard count clamps: each shard appears at most once.
-        assert_eq!(s.replica_group(2, 9), vec![2, 3, 0, 1]);
+        assert_eq!(group(2, 9), vec![2, 3, 0, 1]);
         // Replication 0 clamps up to 1 (the primary alone).
-        assert_eq!(s.replica_group(0, 0), vec![0]);
+        assert_eq!(group(0, 0), vec![0]);
     }
 
     #[test]

@@ -19,18 +19,6 @@ pub struct ShardBatch {
     pub keys: Vec<DataId>,
 }
 
-impl ShardBatch {
-    /// The shards that can serve this batch, in failover order: the primary first, then each
-    /// chained replica `(shard + k) % num_shards`. Mirrors
-    /// [`PartitionSnapshot::replica_group`] so routing and storage agree on replica placement.
-    pub fn failover_candidates(&self, num_shards: u32, replication: u32) -> Vec<u32> {
-        let n = num_shards.max(1);
-        (0..replication.clamp(1, n))
-            .map(|k| (self.shard + k) % n)
-            .collect()
-    }
-}
-
 /// A routed multiget: one batch per shard that must be contacted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutePlan {
@@ -175,16 +163,19 @@ mod tests {
 
     #[test]
     fn failover_candidates_start_at_the_primary_and_chain() {
-        let batch = ShardBatch {
-            shard: 2,
-            keys: vec![0],
+        let snap = snapshot(4, vec![0, 1, 2, 3]);
+        let plan = ShardRouter::new().route(&snap, &[2]).unwrap();
+        let batch = &plan.batches[0];
+        let candidates = |num_shards, replication| {
+            crate::store::ShardSet::replica_chain(batch.shard, num_shards, replication)
+                .collect::<Vec<u32>>()
         };
-        assert_eq!(batch.failover_candidates(4, 1), vec![2]);
-        assert_eq!(batch.failover_candidates(4, 2), vec![2, 3]);
-        assert_eq!(batch.failover_candidates(4, 3), vec![2, 3, 0]);
+        assert_eq!(candidates(4, 1), vec![2]);
+        assert_eq!(candidates(4, 2), vec![2, 3]);
+        assert_eq!(candidates(4, 3), vec![2, 3, 0]);
         // Clamped to the shard count: no shard is listed twice.
-        assert_eq!(batch.failover_candidates(3, 8), vec![2, 0, 1]);
-        assert_eq!(batch.failover_candidates(4, 0), vec![2]);
+        assert_eq!(candidates(3, 8), vec![2, 0, 1]);
+        assert_eq!(candidates(4, 0), vec![2]);
     }
 
     #[test]

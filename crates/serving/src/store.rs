@@ -1,42 +1,49 @@
 //! The shard set: concurrent in-memory KV shards executing routed batches.
 //!
-//! Shard contents are immutable once built (the synthetic record store is rebuilt wholesale
-//! for every installed partition and swapped together with its [`PartitionSnapshot`]), so key
-//! lookups are lock-free; only the per-shard latency RNG sits behind a mutex. Per-request
-//! service time comes from `shp-sharding-sim`'s [`LatencyModel`], and a query's latency is the
-//! **maximum** over its parallel per-shard requests — the tail-at-scale dependency of Figure 4.
+//! Shard contents are immutable once built (the synthetic record store is rebuilt for every
+//! installed partition and swapped together with its [`PartitionSnapshot`]), and service
+//! times hold no state either: the `n`-th request a shard serves within a generation samples
+//! `shp-sharding-sim`'s [`LatencyModel`] from a PCG seeded by a hash of (seed, epoch, shard,
+//! `n`), where `n` is the value the shard's request counter returns. Serving therefore takes
+//! no lock. A query's latency is the **maximum** over its parallel per-shard requests — the
+//! tail-at-scale dependency of Figure 4.
 //!
 //! ## Replication and failover
 //!
-//! With [`ShardSet::build_replicated`] every shard additionally stores the records of the
-//! `R - 1` primaries chained before it (`shard s` replicates primaries `(s - r) mod n` for
-//! `r < R`), mirroring [`PartitionSnapshot::replica_group`]. The fault-aware execution paths
-//! ([`ShardSet::execute_with_faults`]) walk a batch's failover chain under a
-//! [`FaultInjector`]: a down or dropped candidate costs a deterministic timeout, each retry
-//! adds a backoff penalty, a slow-but-alive candidate may be hedged with a duplicate request
-//! to the next replica (first success wins), and a batch whose entire chain is down degrades
-//! into typed `missing` keys instead of an error. When no injector is supplied — or its plan
-//! is empty — these paths are bit-identical to [`ShardSet::execute`].
+//! With [`ShardSet::build_replicated`] the records of primary `p` are also stored on the
+//! `R - 1` shards chained after it, `(p + r) mod n` for `r < R`. Every batch is served by one
+//! routine. Without a [`FaultInjector`] the primary serves it. With one, the batch walks its
+//! replica chain: a down or dropped candidate costs a deterministic timeout, each retry adds a
+//! backoff penalty, a slow-but-alive candidate may be hedged with a duplicate request to the
+//! next replica (first success wins), and a batch whose entire chain is down degrades into
+//! typed `missing` keys instead of an error. An injector with an empty plan takes the same
+//! steps as no injector, so the two give bit-identical results.
 
 use crate::error::{Result, ServingError};
 use crate::partition_map::{PartitionDelta, PartitionSnapshot};
 use crate::router::{RoutePlan, ShardBatch};
 use rand::SeedableRng;
 use rand_pcg::Pcg64;
-use shp_faults::FaultInjector;
+use shp_faults::{FaultInjector, RetryPolicy};
 use shp_hypergraph::DataId;
 use shp_sharding_sim::LatencyModel;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+/// SplitMix64 finalizer: the bijective mixer behind record values and service-time seeds.
+#[inline]
+fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// The synthetic record stored for `key`: a SplitMix64 hash, so that reads can be verified
 /// end-to-end (a wrong or missing value indicates a torn swap or routing bug).
 pub fn value_of(key: DataId) -> u64 {
-    let mut z = (key as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(key as u64)
 }
 
 /// One in-memory KV shard.
@@ -47,26 +54,16 @@ pub fn value_of(key: DataId) -> u64 {
 pub struct Shard {
     /// Immutable records held by this shard (shared with other generations when unchanged).
     data: Arc<HashMap<DataId, u64>>,
-    /// Latency RNG, one stream per shard.
-    rng: Mutex<Pcg64>,
-    /// Number of batch requests served.
+    /// Number of batch requests served; also the index of the next service-time draw.
     requests: AtomicU64,
     /// Number of keys served.
     keys_served: AtomicU64,
 }
 
 impl Shard {
-    fn new(keys: &[DataId], seed: u64) -> Self {
-        Shard::with_data(
-            Arc::new(keys.iter().map(|&k| (k, value_of(k))).collect()),
-            seed,
-        )
-    }
-
-    fn with_data(data: Arc<HashMap<DataId, u64>>, seed: u64) -> Self {
+    fn new(data: Arc<HashMap<DataId, u64>>) -> Self {
         Shard {
             data,
-            rng: Mutex::new(Pcg64::seed_from_u64(seed)),
             requests: AtomicU64::new(0),
             keys_served: AtomicU64::new(0),
         }
@@ -96,32 +93,6 @@ impl Shard {
     pub fn get(&self, key: DataId) -> Option<u64> {
         self.data.get(&key).copied()
     }
-
-    /// Serves one batch: fetches every key and samples the request's service time.
-    fn serve(
-        &self,
-        shard_id: u32,
-        keys: &[DataId],
-        model: &LatencyModel,
-        out: &mut Vec<(DataId, u64)>,
-    ) -> Result<f64> {
-        for &key in keys {
-            let value = self
-                .data
-                .get(&key)
-                .copied()
-                .ok_or(ServingError::MissingKey {
-                    key,
-                    shard: shard_id,
-                })?;
-            out.push((key, value));
-        }
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.keys_served
-            .fetch_add(keys.len() as u64, Ordering::Relaxed);
-        let mut rng = self.rng.lock().expect("shard rng poisoned");
-        Ok(model.sample_request(&mut *rng, keys.len()))
-    }
 }
 
 /// The result of executing one routed multiget.
@@ -131,13 +102,35 @@ pub struct BatchResults {
     pub values: Vec<(DataId, u64)>,
     /// Simulated query latency: the maximum over the parallel per-shard requests.
     pub latency: f64,
-    /// Keys whose entire failover chain was unreachable, ascending. Empty on the no-fault
-    /// paths: a non-empty list is a typed partial result, never a silent drop.
+    /// Keys whose entire failover chain was unreachable, ascending. Always empty without a
+    /// fault injector: a non-empty list is a typed partial result, never a silent drop.
     pub missing: Vec<DataId>,
     /// Failover retries performed across all batches of this multiget.
     pub retries: u64,
     /// Hedged duplicate requests that finished before the primary attempt they shadowed.
     pub hedges_won: u64,
+}
+
+impl BatchResults {
+    fn with_capacity(keys: usize) -> Self {
+        BatchResults {
+            values: Vec::with_capacity(keys),
+            latency: 0.0,
+            missing: Vec::new(),
+            retries: 0,
+            hedges_won: 0,
+        }
+    }
+
+    /// Folds in one batch's outcome; its values are already in `self.values`.
+    fn add(&mut self, batch: &ShardBatch, outcome: BatchServe) {
+        self.latency = self.latency.max(outcome.latency);
+        self.retries += outcome.retries;
+        self.hedges_won += outcome.hedges_won;
+        if !outcome.served {
+            self.missing.extend_from_slice(&batch.keys);
+        }
+    }
 }
 
 /// Outcome of walking one batch through its failover chain.
@@ -158,6 +151,10 @@ pub struct ShardSet {
     shards: Vec<Shard>,
     model: LatencyModel,
     replication: u32,
+    /// Seed of the service-time draws.
+    seed: u64,
+    /// Epoch of the placement this generation serves; keys the service-time draws.
+    epoch: u64,
 }
 
 impl ShardSet {
@@ -167,45 +164,38 @@ impl ShardSet {
         Self::build_replicated(snapshot, model, seed, 1)
     }
 
-    /// Builds the shard set with `replication`-way chained replica groups: shard `s` stores
-    /// its own primaries plus the records of primaries `(s - r) mod n` for `r < replication`
-    /// (clamped to `1..=n`), matching [`PartitionSnapshot::replica_group`]. With
-    /// `replication == 1` this is exactly [`ShardSet::build`] — including identical per-shard
-    /// RNG streams — so the no-replication path is unchanged bit-for-bit.
+    /// Builds the shard set with `replication`-way chained replica groups: the records of
+    /// primary `p` are stored on shards `(p + r) mod n` for `r < replication` (clamped to
+    /// `1..=n`). With `replication == 1` this is exactly [`ShardSet::build`], and a shard
+    /// draws the same service times whatever the replication, so the no-replication path is
+    /// unchanged bit-for-bit.
     pub fn build_replicated(
         snapshot: &PartitionSnapshot,
         model: LatencyModel,
         seed: u64,
         replication: u32,
     ) -> Self {
-        let n = snapshot.num_shards().max(1);
-        let replication = replication.clamp(1, n);
-        let by_primary = snapshot.keys_by_shard();
-        let shards = (0..by_primary.len())
-            .map(|shard_id| {
-                let shard_seed = seed ^ (snapshot.epoch() << 20) ^ shard_id as u64;
-                if replication == 1 {
-                    return Shard::new(&by_primary[shard_id], shard_seed);
-                }
-                let mut keys = Vec::new();
-                for r in 0..replication {
-                    let primary = (shard_id as u32 + n - r) % n;
-                    keys.extend_from_slice(&by_primary[primary as usize]);
-                }
-                Shard::new(&keys, shard_seed)
-            })
-            .collect();
+        let n = snapshot.num_shards();
+        let replication = replication.clamp(1, n.max(1));
+        let mut data = vec![HashMap::new(); n as usize];
+        for (primary, keys) in snapshot.keys_by_shard().iter().enumerate() {
+            for shard in Self::replica_chain(primary as u32, n, replication) {
+                data[shard as usize].extend(keys.iter().map(|&k| (k, value_of(k))));
+            }
+        }
         ShardSet {
-            shards,
+            shards: data.into_iter().map(|d| Shard::new(Arc::new(d))).collect(),
             model,
             replication,
+            seed,
+            epoch: snapshot.epoch(),
         }
     }
 
     /// Builds the next generation's shard set from this one by applying `delta`: only shards
     /// that a moved key leaves or enters get their record map cloned and edited; every other
-    /// shard shares its records with this generation via `Arc`. Per-shard RNG streams and
-    /// request counters are freshly initialized exactly as [`ShardSet::build`] would for
+    /// shard shares its records with this generation via `Arc`. Request counters start at
+    /// zero and draws are keyed by `new_epoch`, exactly as [`ShardSet::build`] would for
     /// `new_epoch`, so a delta-derived generation behaves bit-identically to a full rebuild of
     /// the same placement at the same epoch.
     ///
@@ -217,12 +207,10 @@ impl ShardSet {
         base: &PartitionSnapshot,
         delta: &PartitionDelta,
         new_epoch: u64,
-        seed: u64,
     ) -> Result<ShardSet> {
-        let num_shards = self.shards.len();
-        let n = num_shards as u32;
-        let mut removed: Vec<Vec<DataId>> = vec![Vec::new(); num_shards];
-        let mut added: Vec<Vec<DataId>> = vec![Vec::new(); num_shards];
+        let n = self.num_shards();
+        let chain = |primary| Self::replica_chain(primary, n, self.replication);
+        let mut data: Vec<_> = self.shards.iter().map(|s| Arc::clone(&s.data)).collect();
         for &(key, to) in delta.moves() {
             let from = base.shard_of(key)?;
             if to >= n {
@@ -231,49 +219,35 @@ impl ShardSet {
                     num_shards: n,
                 });
             }
-            if from == to {
-                continue;
-            }
             // A moved key leaves every shard of its old replica chain that is not also on the
-            // new chain, and enters every shard of the new chain it was not already on. With
-            // replication 1 this degenerates to the plain from/to move.
-            let old_chain: Vec<u32> = (0..self.replication).map(|r| (from + r) % n).collect();
-            let new_chain: Vec<u32> = (0..self.replication).map(|r| (to + r) % n).collect();
-            for &shard in &old_chain {
-                if !new_chain.contains(&shard) {
-                    removed[shard as usize].push(key);
-                }
+            // new chain, and enters every shard of the new chain it was not already on. A
+            // shard's records are copied on its first edit.
+            for shard in chain(from).filter(|&s| !chain(to).any(|t| t == s)) {
+                Arc::make_mut(&mut data[shard as usize]).remove(&key);
             }
-            for &shard in &new_chain {
-                if !old_chain.contains(&shard) {
-                    added[shard as usize].push(key);
-                }
+            for shard in chain(to).filter(|&s| !chain(from).any(|f| f == s)) {
+                Arc::make_mut(&mut data[shard as usize]).insert(key, value_of(key));
             }
         }
-        let shards = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(shard_id, shard)| {
-                let shard_seed = seed ^ (new_epoch << 20) ^ shard_id as u64;
-                if removed[shard_id].is_empty() && added[shard_id].is_empty() {
-                    return Shard::with_data(Arc::clone(&shard.data), shard_seed);
-                }
-                let mut data = (*shard.data).clone();
-                for &key in &removed[shard_id] {
-                    data.remove(&key);
-                }
-                for &key in &added[shard_id] {
-                    data.insert(key, value_of(key));
-                }
-                Shard::with_data(Arc::new(data), shard_seed)
-            })
-            .collect();
         Ok(ShardSet {
-            shards,
+            shards: data.into_iter().map(Shard::new).collect(),
             model: self.model.clone(),
             replication: self.replication,
+            seed: self.seed,
+            epoch: new_epoch,
         })
+    }
+
+    /// The replica chain of keys whose primary is `primary`, in failover order: replica `r`
+    /// lives on shard `(primary + r) % num_shards`. `replication` is clamped to
+    /// `1..=num_shards`, so the chain starts at the primary and never wraps onto itself.
+    pub(crate) fn replica_chain(
+        primary: u32,
+        num_shards: u32,
+        replication: u32,
+    ) -> impl Iterator<Item = u32> + Clone {
+        let n = num_shards.max(1);
+        (0..replication.clamp(1, n)).map(move |r| (primary + r) % n)
     }
 
     /// Number of shards.
@@ -307,135 +281,135 @@ impl ShardSet {
         &self.model
     }
 
+    /// Executes a routed multiget without fault injection:
+    /// [`ShardSet::execute_with_faults`] with no injector.
+    ///
+    /// # Errors
+    /// Same contract as [`ShardSet::execute_with_faults`].
+    pub fn execute(&self, plan: &RoutePlan) -> Result<BatchResults> {
+        self.execute_with_faults(plan, None)
+    }
+
     /// Executes a routed multiget, one batch per contacted shard, sequentially in the calling
     /// thread. The recorded latency is still the *parallel* semantics (max over batches);
     /// engine-level concurrency comes from many client threads calling this simultaneously.
     ///
+    /// With an injector the query clock advances one tick and every batch walks its replica
+    /// chain (see the [module docs](crate::store)), degrading unreachable batches into
+    /// `missing` keys. An empty [`shp_faults::FaultPlan`] gives results bit-identical to no
+    /// injector.
+    ///
     /// # Errors
-    /// Returns [`ServingError::MissingKey`] if a batch references a key its shard does not
-    /// hold, which can only happen when a plan is replayed against a different generation.
-    pub fn execute(&self, plan: &RoutePlan) -> Result<BatchResults> {
-        let mut values = Vec::with_capacity(plan.num_keys());
-        let mut latency = 0.0f64;
+    /// Stale or malformed plans fail loudly — injected faults never do:
+    /// [`ServingError::ShardOutOfRange`] for a batch naming a shard outside this generation,
+    /// and [`ServingError::MissingKey`] for a key the contacted shard does not hold, which can
+    /// only happen when a plan is replayed against a different generation.
+    pub fn execute_with_faults(
+        &self,
+        plan: &RoutePlan,
+        faults: Option<&FaultInjector>,
+    ) -> Result<BatchResults> {
+        let faults = faults.map(|inj| (inj, inj.begin_query()));
+        let mut results = BatchResults::with_capacity(plan.num_keys());
         for batch in &plan.batches {
-            let shard = self
-                .shards
-                .get(batch.shard as usize)
-                .ok_or(ServingError::MissingKey {
-                    key: batch.keys[0],
-                    shard: batch.shard,
-                })?;
-            let t = shard.serve(batch.shard, &batch.keys, &self.model, &mut values)?;
-            latency = latency.max(t);
+            let outcome = self.serve_batch(batch, faults, &mut results.values)?;
+            results.add(batch, outcome);
         }
-        Ok(BatchResults {
-            values,
-            latency,
-            missing: Vec::new(),
-            retries: 0,
-            hedges_won: 0,
-        })
+        results.missing.sort_unstable();
+        Ok(results)
     }
 
-    /// Executes a routed multiget with one scoped thread per contacted shard — the literal
+    /// [`ShardSet::execute_with_faults`] with one work unit per contacted shard — the literal
     /// scatter-gather a real storage tier performs, dispatched through the rayon shim's pool
-    /// (one coarse work unit per batch, results gathered in batch order so the value list is
-    /// identical to [`ShardSet::execute`]'s). Useful for demonstrations and tests; for
-    /// high-throughput replay prefer [`ShardSet::execute`] under concurrent clients, which
-    /// avoids per-query thread spawns.
+    /// and gathered in batch order, so the value list is identical to the sequential path's.
+    /// Useful for demonstrations and tests; for high-throughput replay prefer the sequential
+    /// path under concurrent clients, which avoids per-query dispatch. Concurrent batches
+    /// whose failover reaches the same replica may take that replica's draws in either
+    /// order, so latency determinism under active faults is only guaranteed for the
+    /// sequential path; coverage and values are deterministic on both.
     ///
     /// # Errors
-    /// Same contract as [`ShardSet::execute`].
-    pub fn execute_scatter_gather(&self, plan: &RoutePlan) -> Result<BatchResults> {
-        type BatchOutcome = Result<(Vec<(DataId, u64)>, f64)>;
-        let batches: Vec<&crate::router::ShardBatch> = plan.batches.iter().collect();
-        let fanout = batches.len();
-        let results: Vec<BatchOutcome> = rayon::pool::map_vec(batches, fanout, |_, batch| {
-            let shard = self
-                .shards
-                .get(batch.shard as usize)
-                .ok_or(ServingError::MissingKey {
-                    key: batch.keys[0],
-                    shard: batch.shard,
-                })?;
+    /// Same contract as [`ShardSet::execute_with_faults`].
+    pub fn execute_scatter_gather_with_faults(
+        &self,
+        plan: &RoutePlan,
+        faults: Option<&FaultInjector>,
+    ) -> Result<BatchResults> {
+        let faults = faults.map(|inj| (inj, inj.begin_query()));
+        let batches: Vec<&ShardBatch> = plan.batches.iter().collect();
+        let served = rayon::pool::map_vec(batches, plan.batches.len(), |_, batch| {
             let mut out = Vec::with_capacity(batch.keys.len());
-            let t = shard.serve(batch.shard, &batch.keys, &self.model, &mut out)?;
-            Ok((out, t))
+            let outcome = self.serve_batch(batch, faults, &mut out)?;
+            Ok((out, outcome))
         });
-        let mut values = Vec::with_capacity(plan.num_keys());
-        let mut latency = 0.0f64;
-        for result in results {
-            let (mut out, t) = result?;
-            values.append(&mut out);
-            latency = latency.max(t);
+        let mut results = BatchResults::with_capacity(plan.num_keys());
+        for (batch, served) in plan.batches.iter().zip(served) {
+            let (mut out, outcome) = served?;
+            results.values.append(&mut out);
+            results.add(batch, outcome);
         }
-        Ok(BatchResults {
-            values,
-            latency,
-            missing: Vec::new(),
-            retries: 0,
-            hedges_won: 0,
-        })
+        results.missing.sort_unstable();
+        Ok(results)
     }
 
-    /// Walks one batch through its failover chain under `inj` at query-clock `tick`.
+    /// Serves one batch into `values`, walking its replica chain under the injector and
+    /// query tick in `faults`.
     ///
-    /// Candidate `k` is `(batch.shard + k) % n`. A down or dropped candidate costs
-    /// `timeout_factor × mean_t`; each retry adds `k × backoff_factor × mean_t` of budgeted
-    /// backoff. The first live candidate serves the batch into `values`; if the injector marks
-    /// it slow, a hedged duplicate is sent to the next live candidate in the chain and the
-    /// faster of the two wins. An exhausted chain returns `served: false` (the caller degrades
-    /// the keys), never an error.
+    /// A down or dropped candidate costs `timeout_factor × mean_t`; retry `k` adds
+    /// `k × backoff_factor × mean_t` of budgeted backoff. The first live candidate serves the
+    /// batch; if the injector marks it slow, a hedged duplicate is sent to the next live
+    /// candidate in the chain and the faster of the two wins. An exhausted chain returns
+    /// `served: false` (the caller degrades the keys), never an error.
     ///
-    /// With no active faults the primary serves directly and the arithmetic reduces to
-    /// `0.0 + t × 1.0`, which is bit-identical to the no-fault path.
-    fn serve_batch_failover(
+    /// Without an injector no candidate is down or slow, so the primary serves and the
+    /// arithmetic reduces to `0.0 + t × 1.0` — the same bits an empty plan produces.
+    fn serve_batch(
         &self,
         batch: &ShardBatch,
-        inj: &FaultInjector,
-        tick: u64,
+        faults: Option<(&FaultInjector, u64)>,
         values: &mut Vec<(DataId, u64)>,
     ) -> Result<BatchServe> {
-        let candidates = batch.failover_candidates(self.num_shards(), self.replication);
-        let policy = inj.policy();
+        let num_shards = self.num_shards();
+        if batch.shard >= num_shards {
+            return Err(ServingError::ShardOutOfRange {
+                shard: batch.shard,
+                num_shards,
+            });
+        }
+        let lost = |shard: u32, attempt: usize| {
+            faults.is_some_and(|(inj, tick)| {
+                inj.is_down(shard, tick) || inj.drops(shard, tick, attempt as u64)
+            })
+        };
+        let slow_factor =
+            |shard: u32| faults.map_or(1.0, |(inj, tick)| inj.slow_factor(shard, tick));
+        let no_faults = RetryPolicy::default();
+        let policy = faults.map_or(&no_faults, |(inj, _)| inj.policy());
         let mean = self.model.mean_t;
+        let chain = Self::replica_chain(batch.shard, num_shards, self.replication);
         let mut cost = 0.0f64;
         let mut retries = 0u64;
-        for (attempt, &shard_id) in candidates.iter().enumerate() {
+        for (attempt, shard) in chain.clone().enumerate() {
             if attempt > 0 {
                 retries += 1;
                 cost += policy.backoff_factor * mean * attempt as f64;
             }
-            if inj.is_down(shard_id, tick) || inj.drops(shard_id, tick, attempt as u64) {
+            if lost(shard, attempt) {
                 cost += policy.timeout_factor * mean;
                 continue;
             }
-            let shard = &self.shards[shard_id as usize];
-            let factor = inj.slow_factor(shard_id, tick);
-            let t = shard.serve(shard_id, &batch.keys, &self.model, values)? * factor;
-            let mut best = t;
+            let factor = slow_factor(shard);
+            let mut best = self.serve(shard, &batch.keys, values)? * factor;
             let mut hedges_won = 0u64;
-            if factor > 1.0 {
-                let hedge_attempt = attempt + 1;
-                if hedge_attempt < candidates.len() {
-                    let hedge_shard = candidates[hedge_attempt];
-                    if !inj.is_down(hedge_shard, tick)
-                        && !inj.drops(hedge_shard, tick, hedge_attempt as u64)
-                    {
-                        // The duplicate fetches the same records; only its latency matters.
-                        let mut scratch = Vec::with_capacity(batch.keys.len());
-                        let hedge_t = self.shards[hedge_shard as usize].serve(
-                            hedge_shard,
-                            &batch.keys,
-                            &self.model,
-                            &mut scratch,
-                        )? * inj.slow_factor(hedge_shard, tick);
-                        let hedge_total = policy.hedge_delay_factor * mean + hedge_t;
-                        if hedge_total < best {
-                            best = hedge_total;
-                            hedges_won = 1;
-                        }
-                    }
+            let hedge = chain.clone().nth(attempt + 1);
+            if let Some(hedge) = hedge.filter(|&h| factor > 1.0 && !lost(h, attempt + 1)) {
+                // The duplicate fetches the same records; only its latency matters.
+                let mut scratch = Vec::with_capacity(batch.keys.len());
+                let hedge_t = self.serve(hedge, &batch.keys, &mut scratch)? * slow_factor(hedge);
+                let hedge_total = policy.hedge_delay_factor * mean + hedge_t;
+                if hedge_total < best {
+                    best = hedge_total;
+                    hedges_won = 1;
                 }
             }
             return Ok(BatchServe {
@@ -453,108 +427,27 @@ impl ShardSet {
         })
     }
 
-    /// [`ShardSet::execute`] with optional fault injection: with `faults: None` it delegates
-    /// verbatim; with an injector it advances the query clock one tick and serves every batch
-    /// through [`ShardSet::serve_batch_failover`], degrading unreachable batches into
-    /// `missing` keys. An empty [`shp_faults::FaultPlan`] produces bit-identical results to
-    /// the no-fault path (the retained conformance oracle).
-    ///
-    /// # Errors
-    /// Same contract as [`ShardSet::execute`]: stale plans (a key the contacted shard does not
-    /// hold, or a shard outside this generation) fail loudly — injected faults never do.
-    pub fn execute_with_faults(
-        &self,
-        plan: &RoutePlan,
-        faults: Option<&FaultInjector>,
-    ) -> Result<BatchResults> {
-        let Some(inj) = faults else {
-            return self.execute(plan);
-        };
-        let tick = inj.begin_query();
-        let mut values = Vec::with_capacity(plan.num_keys());
-        let mut missing: Vec<DataId> = Vec::new();
-        let mut latency = 0.0f64;
-        let mut retries = 0u64;
-        let mut hedges_won = 0u64;
-        for batch in &plan.batches {
-            if batch.shard as usize >= self.shards.len() {
-                return Err(ServingError::MissingKey {
-                    key: batch.keys[0],
-                    shard: batch.shard,
-                });
-            }
-            let outcome = self.serve_batch_failover(batch, inj, tick, &mut values)?;
-            retries += outcome.retries;
-            hedges_won += outcome.hedges_won;
-            latency = latency.max(outcome.latency);
-            if !outcome.served {
-                missing.extend_from_slice(&batch.keys);
-            }
+    /// Serves `keys` from shard `shard_id` into `out` and returns the request's service time:
+    /// the draw whose index is the number of requests the shard served before this one.
+    fn serve(&self, shard_id: u32, keys: &[DataId], out: &mut Vec<(DataId, u64)>) -> Result<f64> {
+        let shard = &self.shards[shard_id as usize];
+        for &key in keys {
+            let value = shard.get(key).ok_or(ServingError::MissingKey {
+                key,
+                shard: shard_id,
+            })?;
+            out.push((key, value));
         }
-        missing.sort_unstable();
-        Ok(BatchResults {
-            values,
-            latency,
-            missing,
-            retries,
-            hedges_won,
-        })
-    }
-
-    /// [`ShardSet::execute_scatter_gather`] with optional fault injection; see
-    /// [`ShardSet::execute_with_faults`] for the failover semantics. Failover attempts from
-    /// concurrent batches may interleave on replica RNG streams, so latency determinism under
-    /// active faults is only guaranteed for the sequential path; coverage and values are
-    /// deterministic on both.
-    ///
-    /// # Errors
-    /// Same contract as [`ShardSet::execute_with_faults`].
-    pub fn execute_scatter_gather_with_faults(
-        &self,
-        plan: &RoutePlan,
-        faults: Option<&FaultInjector>,
-    ) -> Result<BatchResults> {
-        let Some(inj) = faults else {
-            return self.execute_scatter_gather(plan);
-        };
-        let tick = inj.begin_query();
-        type FaultOutcome = Result<(Vec<(DataId, u64)>, BatchServe)>;
-        let batches: Vec<&ShardBatch> = plan.batches.iter().collect();
-        let fanout = batches.len();
-        let results: Vec<FaultOutcome> = rayon::pool::map_vec(batches, fanout, |_, batch| {
-            if batch.shard as usize >= self.shards.len() {
-                return Err(ServingError::MissingKey {
-                    key: batch.keys[0],
-                    shard: batch.shard,
-                });
-            }
-            let mut out = Vec::with_capacity(batch.keys.len());
-            let outcome = self.serve_batch_failover(batch, inj, tick, &mut out)?;
-            Ok((out, outcome))
-        });
-        let mut values = Vec::with_capacity(plan.num_keys());
-        let mut missing: Vec<DataId> = Vec::new();
-        let mut latency = 0.0f64;
-        let mut retries = 0u64;
-        let mut hedges_won = 0u64;
-        for (batch, result) in plan.batches.iter().zip(results) {
-            let (mut out, outcome) = result?;
-            values.append(&mut out);
-            retries += outcome.retries;
-            hedges_won += outcome.hedges_won;
-            latency = latency.max(outcome.latency);
-            if !outcome.served {
-                missing.extend_from_slice(&batch.keys);
-            }
-        }
-        missing.sort_unstable();
-        Ok(BatchResults {
-            values,
-            latency,
-            missing,
-            retries,
-            hedges_won,
-        })
+        let n = shard.requests.fetch_add(1, Ordering::Relaxed);
+        shard
+            .keys_served
+            .fetch_add(keys.len() as u64, Ordering::Relaxed);
+        let draw = [self.epoch, u64::from(shard_id), n]
+            .into_iter()
+            .fold(mix64(self.seed), |h, x| mix64(h ^ x));
+        Ok(self
+            .model
+            .sample_request(&mut Pcg64::seed_from_u64(draw), keys.len()))
     }
 }
 
@@ -607,7 +500,7 @@ mod tests {
         let set = ShardSet::build(&snap, LatencyModel::default(), 3);
         let keys: Vec<u32> = (0..64).collect();
         let plan = ShardRouter::new().route(&snap, &keys).unwrap();
-        let results = set.execute_scatter_gather(&plan).unwrap();
+        let results = set.execute_scatter_gather_with_faults(&plan, None).unwrap();
         assert_eq!(results.values.len(), 64);
         let mut seen: Vec<u32> = results.values.iter().map(|&(k, _)| k).collect();
         seen.sort_unstable();
@@ -648,7 +541,7 @@ mod tests {
         let snap = snapshot(3, vec![0, 0, 1, 1, 2, 2]);
         let set = ShardSet::build(&snap, LatencyModel::default(), 9);
         let delta = PartitionDelta::new(0, vec![(0, 1)]);
-        let next = set.apply_delta(&snap, &delta, 1, 9).unwrap();
+        let next = set.apply_delta(&snap, &delta, 1).unwrap();
         assert_eq!(next.shard_sizes(), vec![1, 3, 2]);
         assert_eq!(next.shards[1].get(0), Some(value_of(0)));
         assert_eq!(next.shards[0].get(0), None);
@@ -664,10 +557,10 @@ mod tests {
         let set = ShardSet::build(&base, LatencyModel::default(), 7);
         let delta = PartitionDelta::new(0, vec![(1, 1), (2, 0)]);
         let next_snap = base.apply_delta(&delta, 3).unwrap();
-        let via_delta = set.apply_delta(&base, &delta, 3, 7).unwrap();
+        let via_delta = set.apply_delta(&base, &delta, 3).unwrap();
         let via_full = ShardSet::build(&next_snap, LatencyModel::default(), 7);
         assert_eq!(via_delta.shard_sizes(), via_full.shard_sizes());
-        // Same epoch + seed → same per-shard RNG streams → identical sampled latencies.
+        // Same epoch + seed + request counts → same draws → identical sampled latencies.
         let plan = ShardRouter::new().route(&next_snap, &[0, 1, 2, 3]).unwrap();
         let a = via_delta.execute(&plan).unwrap();
         let b = via_full.execute(&plan).unwrap();
@@ -706,7 +599,7 @@ mod tests {
         // Move key 0 from primary 0 to primary 2: chains {0,1} -> {2,0}, so shard 1 loses it,
         // shard 2 gains it, and shard 0 keeps it (primary before, replica after).
         let delta = PartitionDelta::new(0, vec![(0, 2)]);
-        let next = set.apply_delta(&snap, &delta, 1, 1).unwrap();
+        let next = set.apply_delta(&snap, &delta, 1).unwrap();
         assert_eq!(next.shards[0].get(0), Some(value_of(0)));
         assert_eq!(next.shards[1].get(0), None);
         assert_eq!(next.shards[2].get(0), Some(value_of(0)));
@@ -817,11 +710,91 @@ mod tests {
     }
 
     #[test]
+    fn service_times_are_keyed_by_epoch_and_request_count() {
+        let snap = snapshot(2, vec![0, 1]);
+        let plan = ShardRouter::new().route(&snap, &[0]).unwrap();
+        let latencies = |set: &ShardSet| -> Vec<u64> {
+            (0..4)
+                .map(|_| set.execute(&plan).unwrap().latency.to_bits())
+                .collect()
+        };
+        let set = ShardSet::build(&snap, LatencyModel::default(), 8);
+        let a = latencies(&set);
+        assert_eq!(
+            a,
+            latencies(&ShardSet::build(&snap, LatencyModel::default(), 8))
+        );
+        // Each request takes the next draw: four requests, four distinct service times.
+        let mut distinct = a.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 4);
+        // A new generation of the same placement starts its counters over but draws afresh.
+        let next = set
+            .apply_delta(&snap, &PartitionDelta::new(0, vec![]), 1)
+            .unwrap();
+        assert_ne!(latencies(&next), a);
+    }
+
+    /// Runs `plan` the four ways a plan can execute: sequential or scattered, each without an
+    /// injector and with an empty-plan one.
+    fn execute_every_way(set: &ShardSet, plan: &RoutePlan) -> Vec<Result<BatchResults>> {
+        let inj = FaultInjector::new(shp_faults::FaultPlan::new(), 1);
+        vec![
+            set.execute_with_faults(plan, None),
+            set.execute_with_faults(plan, Some(&inj)),
+            set.execute_scatter_gather_with_faults(plan, None),
+            set.execute_scatter_gather_with_faults(plan, Some(&inj)),
+        ]
+    }
+
+    #[test]
+    fn batches_naming_a_shard_outside_the_generation_fail_typed() {
+        let set = ShardSet::build(&snapshot(2, vec![0, 1]), LatencyModel::default(), 1);
+        for keys in [vec![0], vec![]] {
+            let plan = RoutePlan {
+                epoch: 0,
+                batches: vec![ShardBatch { shard: 7, keys }],
+            };
+            for result in execute_every_way(&set, &plan) {
+                assert_eq!(
+                    result,
+                    Err(ServingError::ShardOutOfRange {
+                        shard: 7,
+                        num_shards: 2
+                    })
+                );
+            }
+        }
+        assert_eq!(set.shard_requests(), vec![0, 0]);
+    }
+
+    #[test]
+    fn an_empty_batch_is_served_as_zero_keys() {
+        let set = ShardSet::build(&snapshot(2, vec![0, 1]), LatencyModel::default(), 1);
+        let plan = RoutePlan {
+            epoch: 0,
+            batches: vec![ShardBatch {
+                shard: 1,
+                keys: vec![],
+            }],
+        };
+        for result in execute_every_way(&set, &plan) {
+            let result = result.unwrap();
+            assert!(result.values.is_empty());
+            assert!(result.missing.is_empty());
+            assert!(result.latency > 0.0);
+        }
+        assert_eq!(set.shard_requests(), vec![0, 4]);
+        assert_eq!(set.shard_keys_served(), vec![0, 0]);
+    }
+
+    #[test]
     fn apply_delta_rejects_out_of_range_moves() {
         let snap = snapshot(2, vec![0, 1]);
         let set = ShardSet::build(&snap, LatencyModel::default(), 1);
         let err = set
-            .apply_delta(&snap, &PartitionDelta::new(0, vec![(0, 5)]), 1, 1)
+            .apply_delta(&snap, &PartitionDelta::new(0, vec![(0, 5)]), 1)
             .unwrap_err();
         assert_eq!(
             err,

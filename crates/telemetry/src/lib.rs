@@ -49,17 +49,13 @@
 //! is independent of record interleaving — a merged report is bit-identical no matter how
 //! threads raced.
 //!
-//! ## Disabled modes
+//! ## Disabled mode
 //!
-//! Telemetry can be disabled two ways, and **neither changes any computed result** — the
-//! instrumented algorithms never read telemetry state, so partitioning outcomes and serving
-//! results are bit-identical with telemetry on, off, or compiled out (the workspace's
-//! `parallel_conformance` suite proves this):
-//!
-//! * Runtime: [`set_enabled`]`(false)` makes every record path return after one relaxed
-//!   atomic load, and spans skip even the `Instant::now()` call.
-//! * Compile time: the `noop` cargo feature turns [`enabled`] into a literal `false`, so the
-//!   optimizer removes the instrumentation entirely.
+//! [`set_enabled`]`(false)` makes every record path return after one relaxed atomic load,
+//! and spans skip even the `Instant::now()` call. Disabling **never changes a computed
+//! result** — the instrumented algorithms never read telemetry state, so partitioning
+//! outcomes and serving results are bit-identical with telemetry on or off (the workspace's
+//! `parallel_conformance` suite proves this).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -79,9 +75,7 @@ pub use scalar::{Counter, Gauge, IndexedCounter};
 pub use sketch::TopKSketch;
 pub use span::{Span, SpanStats, Timer, TimerGuard};
 
-#[cfg(not(feature = "noop"))]
-use std::sync::atomic::AtomicBool;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Number of per-worker shards a [`Counter`] spreads increments over (a power of two).
@@ -91,36 +85,20 @@ pub const COUNTER_SHARDS: usize = 16;
 /// [`COUNTER_SHARDS`] because each shard carries a full bucket array.
 pub const HISTOGRAM_SHARDS: usize = 4;
 
-#[cfg(not(feature = "noop"))]
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Whether telemetry recording is currently on.
-///
-/// With the `noop` cargo feature this is a `const fn` returning `false`, so every record path
-/// guarded by it is removed at compile time.
-#[cfg(not(feature = "noop"))]
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Compile-time disabled mode: recording is permanently off and the optimizer deletes the
-/// record paths.
-#[cfg(feature = "noop")]
-#[inline]
-pub const fn enabled() -> bool {
-    false
-}
-
 /// Turns runtime recording on or off process-wide.
 ///
 /// Disabling does not clear anything already recorded; it only makes subsequent record calls
-/// no-ops. A no-op under the `noop` feature (recording is compiled out there).
+/// no-ops.
 pub fn set_enabled(on: bool) {
-    #[cfg(not(feature = "noop"))]
     ENABLED.store(on, Ordering::Relaxed);
-    #[cfg(feature = "noop")]
-    let _ = on;
 }
 
 /// The process-wide registry the instrumentation in the SHP crates records into.
@@ -175,17 +153,12 @@ mod tests {
 
     #[test]
     fn enable_toggle_round_trips() {
-        #[cfg(not(feature = "noop"))]
-        {
-            let _guard = toggle_guard();
-            set_enabled(true);
-            assert!(enabled());
-            set_enabled(false);
-            assert!(!enabled());
-            set_enabled(true);
-            assert!(enabled());
-        }
-        #[cfg(feature = "noop")]
+        let _guard = toggle_guard();
+        set_enabled(true);
+        assert!(enabled());
+        set_enabled(false);
         assert!(!enabled());
+        set_enabled(true);
+        assert!(enabled());
     }
 }

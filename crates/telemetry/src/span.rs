@@ -179,21 +179,18 @@ mod tests {
 
     #[test]
     fn child_paths_join_with_slash() {
-        #[cfg(not(feature = "noop"))]
-        {
-            let _guard = crate::toggle_guard();
-            crate::set_enabled(true);
-            let root = Span::enter("test_span/root");
-            let child = root.child("leaf");
-            assert_eq!(root.path(), Some("test_span/root"));
-            assert_eq!(child.path(), Some("test_span/root/leaf"));
-            drop(child);
-            drop(root);
-            let snap = global().snapshot();
-            let leaf = &snap.spans["test_span/root/leaf"];
-            assert!(leaf.count >= 1);
-            assert!(snap.spans["test_span/root"].total_ns >= leaf.total_ns);
-        }
+        let _guard = crate::toggle_guard();
+        crate::set_enabled(true);
+        let root = Span::enter("test_span/root");
+        let child = root.child("leaf");
+        assert_eq!(root.path(), Some("test_span/root"));
+        assert_eq!(child.path(), Some("test_span/root/leaf"));
+        drop(child);
+        drop(root);
+        let snap = global().snapshot();
+        let leaf = &snap.spans["test_span/root/leaf"];
+        assert!(leaf.count >= 1);
+        assert!(snap.spans["test_span/root"].total_ns >= leaf.total_ns);
     }
 
     #[test]
@@ -214,7 +211,6 @@ mod tests {
         assert_eq!(stats.max_ns(), 2);
     }
 
-    #[cfg(not(feature = "noop"))]
     #[test]
     fn disabled_spans_and_timers_record_nothing() {
         let _guard = crate::toggle_guard();
@@ -234,18 +230,15 @@ mod tests {
 
     #[test]
     fn timer_guard_records_on_drop() {
-        #[cfg(not(feature = "noop"))]
+        let _guard = crate::toggle_guard();
+        crate::set_enabled(true);
+        let timer = global().timer("test_span/guarded");
         {
-            let _guard = crate::toggle_guard();
-            crate::set_enabled(true);
-            let timer = global().timer("test_span/guarded");
-            {
-                let _guard = timer.start();
-            }
-            assert_eq!(timer.stats().count(), 1);
-            timer.record_ns(500);
-            assert_eq!(timer.stats().count(), 2);
-            assert!(timer.stats().max_ns() >= 500 || timer.stats().total_ns() >= 500);
+            let _guard = timer.start();
         }
+        assert_eq!(timer.stats().count(), 1);
+        timer.record_ns(500);
+        assert_eq!(timer.stats().count(), 2);
+        assert!(timer.stats().max_ns() >= 500 || timer.stats().total_ns() >= 500);
     }
 }

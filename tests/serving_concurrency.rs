@@ -7,8 +7,8 @@
 use shp::faults::{FaultInjector, FaultPlan};
 use shp::hypergraph::{GraphBuilder, Partition};
 use shp::serving::{
-    value_of, EngineConfig, EpochSwap, PartitionDelta, PartitionSnapshot, ServingEngine,
-    ServingError,
+    value_of, EngineConfig, EpochSwap, PartitionDelta, PartitionSnapshot, RoutePlan, ServingEngine,
+    ServingError, ShardRouter, ShardSet,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -572,9 +572,74 @@ fn replicated_failover_keeps_results_complete_while_deltas_race() {
     );
 }
 
+/// Service times are drawn without a lock: a shard's `n`-th request takes draw `n`, where `n`
+/// comes from its request counter. Racing single-shard plans from many threads must hand out
+/// exactly the draws a sequential run does — no draw index reused or skipped — so every
+/// shard ends with the same request count and the same multiset of latencies.
+#[test]
+fn concurrent_requests_take_every_draw_index_exactly_once() {
+    let graph = community_graph();
+    let snapshot = PartitionSnapshot::from_partition(&aligned(&graph), 0).unwrap();
+    let build = || ShardSet::build(&snapshot, EngineConfig::default().latency_model, 0x5047);
+    // Plan i fetches one key of community i % GROUPS, so it contacts one shard and its
+    // latency is exactly one draw.
+    let plans: Vec<RoutePlan> = (0..GROUPS * SIZE * 8)
+        .map(|i| {
+            let key = (i % GROUPS) * SIZE + (i / GROUPS) % SIZE;
+            ShardRouter::new().route(&snapshot, &[key]).unwrap()
+        })
+        .collect();
+    let serve = |set: &ShardSet, plan: &RoutePlan| {
+        assert_eq!(plan.fanout(), 1);
+        (plan.batches[0].shard, set.execute(plan).unwrap().latency)
+    };
+    let per_shard = |served: Vec<(u32, f64)>| {
+        let mut latencies = vec![Vec::new(); GROUPS as usize];
+        for (shard, latency) in served {
+            latencies[shard as usize].push(latency.to_bits());
+        }
+        for shard in &mut latencies {
+            shard.sort_unstable();
+        }
+        latencies
+    };
+
+    let sequential = build();
+    let expected: Vec<(u32, f64)> = plans.iter().map(|p| serve(&sequential, p)).collect();
+    let concurrent = build();
+    // Contiguous chunks: every reader cycles through every shard, so all of them race on each
+    // shard's counter.
+    let chunks: Vec<&[RoutePlan]> = plans
+        .chunks(plans.len().div_ceil(reader_threads()))
+        .collect();
+    let start = std::sync::Barrier::new(chunks.len());
+    let raced: Vec<(u32, f64)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .map(|chunk| {
+                let (concurrent, start) = (&concurrent, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    chunk
+                        .iter()
+                        .map(|p| serve(concurrent, p))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("reader panicked"))
+            .collect()
+    });
+    assert_eq!(sequential.shard_requests(), concurrent.shard_requests());
+    assert_eq!(per_shard(expected), per_shard(raced));
+}
+
 /// A sequence of delta installs must leave the engine in a state **bit-identical** to the
 /// same sequence done through full-map installs: same snapshot pages, same epochs, same
-/// multiget values *and latencies* (the per-shard RNG reseeds identically on both paths).
+/// multiget values *and latencies* (service-time draws depend only on seed, epoch, shard and
+/// the shard's request count, which both paths reset at every install).
 #[test]
 fn delta_install_sequence_is_bit_identical_to_full_installs() {
     let graph = community_graph();
