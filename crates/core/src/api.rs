@@ -44,8 +44,10 @@ use crate::report::{PartitionResult, RunReport};
 use rand::SeedableRng;
 use rand_pcg::Pcg64;
 use serde::{Deserialize, Serialize};
-use shp_hypergraph::{average_fanout, average_p_fanout, BipartiteGraph, BucketId, Partition};
-use std::collections::BTreeMap;
+use shp_hypergraph::{
+    average_fanout, average_p_fanout, BipartiteGraph, BucketId, DataId, Partition,
+};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 pub use crate::config::ObjectiveKind;
@@ -400,33 +402,66 @@ pub trait Partitioner {
 /// lightest bucket. For the unit-weight partitions this workspace produces, the capacity
 /// `⌊(1 + ε)⌈n/k⌉⌋ ≥ ⌈n/k⌉` always admits a full repair; with heterogeneous vertex weights the
 /// repair is best-effort. Returns the number of vertices moved (0 when already balanced).
+///
+/// Costs `O(k)` on a balanced partition and `O(|D| + k·log k + moves·log k)` otherwise.
 pub fn enforce_balance(partition: &mut Partition, epsilon: f64) -> usize {
-    let cap = partition.max_allowed_weight(epsilon);
     if partition.is_balanced(epsilon) {
         return 0;
     }
-    let k = partition.num_buckets();
-    let overfull: Vec<BucketId> = (0..k)
-        .filter(|&b| partition.bucket_weight(b) > cap)
+    let moves = balance_moves(partition, partition.max_allowed_weight(epsilon));
+    partition.assign_all(&moves);
+    moves.len()
+}
+
+/// The moves of [`enforce_balance`], in order, for capacity `cap`: one pass over the
+/// assignment collects the members of the overfull buckets, and an ordered set over
+/// `(weight, bucket)` yields the lightest target.
+fn balance_moves(partition: &Partition, cap: u64) -> Vec<(DataId, BucketId)> {
+    let mut weights = partition.bucket_weights().to_vec();
+    let mut by_weight: BTreeSet<(u64, BucketId)> = weights
+        .iter()
+        .enumerate()
+        .map(|(b, &w)| (w, b as BucketId))
         .collect();
-    let mut moved = 0usize;
-    for b in overfull {
-        let mut members = partition.bucket_members(b);
-        // Highest ids first: deterministic, and leaves the low-id (often hub) vertices alone.
-        while partition.bucket_weight(b) > cap {
-            let Some(v) = members.pop() else { break };
-            let target = (0..k)
-                .filter(|&t| t != b)
-                .min_by_key(|&t| (partition.bucket_weight(t), t))
-                .expect("k >= 2 when a bucket is overfull");
-            if partition.bucket_weight(target) + partition.vertex_weight(v) > cap {
-                break; // best-effort: every other bucket is at capacity
-            }
-            partition.assign(v, target);
-            moved += 1;
+    let overfull: Vec<BucketId> = (0..partition.num_buckets())
+        .filter(|&b| weights[b as usize] > cap)
+        .collect();
+    // `position[b]` is bucket b's index in `overfull` (usize::MAX when b is not overfull).
+    let mut position = vec![usize::MAX; weights.len()];
+    for (i, &b) in overfull.iter().enumerate() {
+        position[b as usize] = i;
+    }
+    let mut members: Vec<Vec<DataId>> = vec![Vec::new(); overfull.len()];
+    for (v, &b) in partition.assignment().iter().enumerate() {
+        if let Some(list) = members.get_mut(position[b as usize]) {
+            list.push(v as DataId);
         }
     }
-    moved
+    let mut moves = Vec::new();
+    for (&b, members) in overfull.iter().zip(&mut members) {
+        // Highest ids first: deterministic, and leaves the low-id (often hub) vertices alone.
+        while weights[b as usize] > cap {
+            let Some(v) = members.pop() else { break };
+            let (_, target) = *by_weight
+                .iter()
+                .find(|&&(_, t)| t != b)
+                .expect("k >= 2 when a bucket is overfull");
+            let w = partition.vertex_weight(v);
+            if weights[target as usize] + w > cap {
+                break; // best-effort: every other bucket is at capacity
+            }
+            for (bucket, weight) in [
+                (b, weights[b as usize] - w),
+                (target, weights[target as usize] + w),
+            ] {
+                by_weight.remove(&(weights[bucket as usize], bucket));
+                by_weight.insert((weight, bucket));
+                weights[bucket as usize] = weight;
+            }
+            moves.push((v, target));
+        }
+    }
+    moves
 }
 
 /// Shared adapter epilogue: repair the spec's balance bound with [`enforce_balance`], then
@@ -931,6 +966,81 @@ mod tests {
         );
         // Repairing an already balanced partition is a no-op.
         assert_eq!(enforce_balance(&mut partition, 0.0), 0);
+    }
+
+    /// The original repair loop, kept as the oracle for [`balance_moves`]: it collects each
+    /// overfull bucket's members with a full scan and finds every target with a scan over all
+    /// `k` buckets.
+    fn enforce_balance_oracle(partition: &mut Partition, epsilon: f64) -> Vec<(DataId, BucketId)> {
+        let cap = partition.max_allowed_weight(epsilon);
+        let mut moves = Vec::new();
+        if partition.is_balanced(epsilon) {
+            return moves;
+        }
+        let k = partition.num_buckets();
+        let overfull: Vec<BucketId> = (0..k)
+            .filter(|&b| partition.bucket_weight(b) > cap)
+            .collect();
+        for b in overfull {
+            let mut members = partition.bucket_members(b);
+            while partition.bucket_weight(b) > cap {
+                let Some(v) = members.pop() else { break };
+                let target = (0..k)
+                    .filter(|&t| t != b)
+                    .min_by_key(|&t| (partition.bucket_weight(t), t))
+                    .expect("k >= 2 when a bucket is overfull");
+                if partition.bucket_weight(target) + partition.vertex_weight(v) > cap {
+                    break;
+                }
+                partition.assign(v, target);
+                moves.push((v, target));
+            }
+        }
+        moves
+    }
+
+    #[test]
+    fn balance_moves_equal_the_original_repair_loop() {
+        use rand::Rng;
+        let mut repairs = 0;
+        for seed in 0..60u64 {
+            let mut rng = Pcg64::seed_from_u64(seed);
+            let n: u32 = rng.gen_range(1..400);
+            let mut b = GraphBuilder::new();
+            for v in 0..n {
+                b.add_query([v]);
+            }
+            if seed % 2 == 1 {
+                b.set_data_weights((0..n).map(|_| rng.gen_range(0..6)).collect());
+            }
+            let graph = b.build().unwrap();
+            let k: u32 = rng.gen_range(1..48);
+            // A skewed start: most vertices crowd into a few hot buckets.
+            let hot = rng.gen_range(1..=k.min(3));
+            let assignment = (0..n)
+                .map(|_| {
+                    if rng.gen_bool(0.7) {
+                        rng.gen_range(0..hot)
+                    } else {
+                        rng.gen_range(0..k)
+                    }
+                })
+                .collect();
+            let epsilon = [0.0, 0.03, 0.1, 0.5][seed as usize % 4];
+            let partition = Partition::from_assignment(&graph, k, assignment).unwrap();
+
+            let mut oracle = partition.clone();
+            let expected = enforce_balance_oracle(&mut oracle, epsilon);
+            if !partition.is_balanced(epsilon) {
+                let cap = partition.max_allowed_weight(epsilon);
+                assert_eq!(balance_moves(&partition, cap), expected, "seed {seed}");
+                repairs += 1;
+            }
+            let mut repaired = partition;
+            assert_eq!(enforce_balance(&mut repaired, epsilon), expected.len());
+            assert_eq!(repaired, oracle, "seed {seed}");
+        }
+        assert!(repairs > 30, "only {repairs} inputs needed a repair");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::error::ShpResult;
 use crate::gains::{MoveProposal, TargetConstraint};
 use crate::histogram::{GainHistogramSet, NUM_BINS};
 use crate::objective::Objective;
-use crate::pair_table::PairTable;
+use crate::pair_table::{PairLayout, PairTable};
 use crate::refinement::unit_hash;
 use rand::Rng;
 use rand::SeedableRng;
@@ -85,10 +85,10 @@ enum ShpMessage {
 
 /// Per-superstep aggregate collected by the master.
 ///
-/// A vertex contributes at most one `proposal`; proposals are folded into the dense
-/// `histograms` table by [`VertexProgram::merge_aggregates`] as the per-worker accumulator
-/// absorbs them, so the per-vertex contribution stays O(1) (no per-vertex table allocation)
-/// while each worker builds exactly one histogram set per superstep.
+/// A vertex contributes at most one `proposal`; proposals are folded into the `histograms`
+/// table by [`VertexProgram::merge_aggregates`] as the per-worker accumulator absorbs them, so
+/// the per-vertex contribution stays O(1) (no per-vertex table allocation) while each worker
+/// builds exactly one histogram set per superstep, laid out by the program's constraint.
 #[derive(Debug, Clone, Default)]
 struct ShpAggregate {
     histograms: GainHistogramSet,
@@ -113,6 +113,8 @@ struct ShpProgram {
     num_queries: usize,
     objective: Objective,
     constraint: TargetConstraint,
+    /// The pairs `constraint` admits: the layout of every worker's histogram set.
+    pair_layout: PairLayout,
     swap_strategy: SwapStrategy,
     max_iterations: usize,
     convergence_threshold: f64,
@@ -120,11 +122,13 @@ struct ShpProgram {
 }
 
 impl ShpProgram {
+    /// The buckets `from` may move to, or `None` when any bucket is admissible. A bucket in no
+    /// sibling group has no targets, exactly as in the in-process gain kernel.
     fn allowed_targets(&self, from: BucketId) -> Option<&[BucketId]> {
         match &self.constraint {
             TargetConstraint::All { .. } => None,
             TargetConstraint::Siblings { allowed } => {
-                allowed.get(from as usize).map(|v| v.as_slice())
+                Some(allowed.get(from as usize).map_or(&[], |v| v.as_slice()))
             }
         }
     }
@@ -209,13 +213,19 @@ impl VertexProgram for ShpProgram {
     }
 
     fn merge_aggregates(&self, mut a: ShpAggregate, b: ShpAggregate) -> ShpAggregate {
-        a.histograms.merge(&b.histograms);
+        // An empty set may be a default without a layout; every non-empty set is laid out by
+        // `pair_layout`, so two non-empty sets merge in place.
+        if a.histograms.num_pairs() == 0 {
+            a.histograms = b.histograms;
+        } else {
+            a.histograms.merge(&b.histograms);
+        }
         // Fold pending single-proposal contributions into the accumulator's table; histogram
         // bins are commutative counters, so any merge association yields the same set.
-        if let Some(p) = b.proposal {
-            a.histograms.record(&p);
-        }
-        if let Some(p) = a.proposal.take() {
+        for p in [b.proposal, a.proposal.take()].into_iter().flatten() {
+            if a.histograms.num_pairs() == 0 {
+                a.histograms = GainHistogramSet::with_layout(self.pair_layout.clone());
+            }
             a.histograms.record(&p);
         }
         a.moved += b.moved;
@@ -398,7 +408,8 @@ fn lookup_probability(global: &ShpGlobal, from: BucketId, to: BucketId, gain: f6
 }
 
 /// Derives the basic swap-matrix probabilities `min(S_ij, S_ji)/S_ij` from gain histograms by
-/// counting the positive-gain candidates of every ordered pair.
+/// counting the positive-gain candidates of every ordered pair, laid out over the recorded
+/// pairs.
 fn matrix_probabilities(set: &GainHistogramSet) -> PairTable<f64> {
     let positive_count = |from: BucketId, to: BucketId| -> u64 {
         set.get(from, to)
@@ -410,13 +421,9 @@ fn matrix_probabilities(set: &GainHistogramSet) -> PairTable<f64> {
             })
             .unwrap_or(0)
     };
-    // The match_bins result contains exactly the ordered pairs recorded (both directions).
-    let matched = set.match_bins();
-    let mut seen: Vec<(BucketId, BucketId)> = matched.keys().collect();
-    seen.sort_unstable();
-    seen.dedup();
-    let mut probs = PairTable::new(matched.num_buckets(), 0.0f64);
-    for (i, j) in seen {
+    // Only a recorded pair can have a positive count.
+    let mut probs = PairTable::new(PairLayout::from_pairs(set.pairs()));
+    for (i, j) in set.pairs() {
         let s_ij = positive_count(i, j);
         if s_ij == 0 {
             continue;
@@ -586,6 +593,7 @@ fn run_level(
         num_data,
         num_queries,
         objective,
+        pair_layout: constraint.pair_layout(),
         constraint,
         swap_strategy: config.swap_strategy,
         max_iterations,
@@ -606,12 +614,10 @@ fn run_level(
     }
     metrics.absorb(engine.metrics());
 
-    engine
-        .values()
-        .into_iter()
-        .take(num_data)
-        .map(|v| match v {
-            ShpValue::Data { bucket, .. } => bucket,
+    // Read the data vertices' buckets in place rather than cloning every vertex value.
+    (0..num_data as u32)
+        .map(|v| match engine.value(v) {
+            ShpValue::Data { bucket, .. } => *bucket,
             ShpValue::Query => unreachable!("data vertices occupy the first num_data slots"),
         })
         .collect()
@@ -704,6 +710,42 @@ mod tests {
         let result = partition_distributed(&graph, &config, 2).unwrap();
         let first = result.history.first().unwrap().fanout;
         assert!(result.final_fanout <= first);
+    }
+
+    #[test]
+    fn buckets_outside_every_sibling_group_never_move() {
+        // Only buckets 0 and 1 split; 2, 3 and 4 pass through, numbered past the last group,
+        // and their vertices share queries, so an unconstrained kernel would swap them.
+        let mut b = GraphBuilder::new();
+        for g in 0..10u32 {
+            for _ in 0..4 {
+                b.add_query([g * 4, g * 4 + 1, g * 4 + 2, g * 4 + 3, (g * 4 + 7) % 40]);
+            }
+        }
+        let graph = b.build().unwrap();
+        let initial: Vec<BucketId> = (0..40u32).map(|v| v % 5).collect();
+        let config = ShpConfig::recursive_bisection(5).with_max_iterations(10);
+        let constraint = TargetConstraint::sibling_groups(&[vec![0, 1]]);
+        let mut metrics = ExecutionMetrics::new(2);
+        let mut history = Vec::new();
+        let out = run_level(
+            &graph,
+            &config,
+            &initial,
+            Objective::from_kind(config.objective),
+            constraint,
+            10,
+            2,
+            1,
+            &mut metrics,
+            &mut history,
+        );
+        for (v, (&before, &after)) in initial.iter().zip(&out).enumerate() {
+            assert!(
+                before == after || (before < 2 && after < 2),
+                "vertex {v} moved from {before} to {after}"
+            );
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@
 
 use crate::neighbor_data::NeighborData;
 use crate::objective::Objective;
+use crate::pair_table::PairLayout;
 use shp_hypergraph::{BipartiteGraph, BucketId, DataId, Partition};
 use std::collections::HashMap;
 
@@ -84,6 +85,20 @@ impl TargetConstraint {
             }
         }
         TargetConstraint::Siblings { allowed }
+    }
+
+    /// The ordered `(from, to)` pairs a proposal under this constraint can take: every pair
+    /// of the `k` buckets under `All`, each bucket and its siblings under `Siblings` — about
+    /// `k·(r − 1)` slots at arity `r`, because a group's children are numbered contiguously.
+    pub fn pair_layout(&self) -> PairLayout {
+        match self {
+            TargetConstraint::All { k } => PairLayout::dense(*k),
+            TargetConstraint::Siblings { allowed } => {
+                PairLayout::from_pairs(allowed.iter().enumerate().flat_map(|(from, targets)| {
+                    targets.iter().map(move |&to| (from as BucketId, to))
+                }))
+            }
+        }
     }
 }
 

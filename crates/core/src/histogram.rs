@@ -9,7 +9,7 @@
 //! frees up additional movement compared to the basic swap matrix.
 
 use crate::gains::MoveProposal;
-use crate::pair_table::PairTable;
+use crate::pair_table::{PairLayout, PairTable};
 use shp_hypergraph::BucketId;
 
 /// Number of exponential gain bins per direction.
@@ -99,8 +99,9 @@ impl GainHistogram {
     }
 }
 
-/// Histograms for every ordered bucket pair with at least one candidate, stored in a dense
-/// [`PairTable`] (no hashing or per-entry allocation on the record path).
+/// Histograms for every ordered bucket pair with at least one candidate, stored in a
+/// [`PairTable`] laid out from the proposals it records (no hashing, no per-entry allocation,
+/// and no growth on the record path).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GainHistogramSet {
     histograms: PairTable<GainHistogram>,
@@ -108,48 +109,52 @@ pub struct GainHistogramSet {
 
 impl Default for GainHistogramSet {
     fn default() -> Self {
-        GainHistogramSet {
-            histograms: PairTable::new(0, GainHistogram::default()),
-        }
+        GainHistogramSet::with_layout(PairLayout::default())
     }
 }
 
 impl GainHistogramSet {
-    /// Builds the histogram set from the full list of proposals (positive and non-positive).
-    /// The bucket range is pre-sized in one pass over the proposals so recording never grows
-    /// the table.
-    pub fn from_proposals(proposals: &[MoveProposal]) -> Self {
-        let k = proposals
-            .iter()
-            .map(|p| p.from.max(p.to) + 1)
-            .max()
-            .unwrap_or(0);
-        let mut set = GainHistogramSet {
-            histograms: PairTable::new(k, GainHistogram::default()),
-        };
-        for p in proposals {
-            set.record(p);
+    /// An empty set that can record proposals of every pair of `layout`.
+    pub fn with_layout(layout: PairLayout) -> Self {
+        GainHistogramSet {
+            histograms: PairTable::new(layout),
         }
-        set
     }
 
-    /// Builds the histogram set over `workers` threads: each worker accumulates a partial set
-    /// over a contiguous chunk of the proposal list and the partials are merged in chunk order.
-    /// Bin counts are sums, so the result equals [`GainHistogramSet::from_proposals`] exactly
-    /// for every worker count — this is the "worker-local histograms combined by the master"
-    /// step of Section 3.4 executed on real threads.
+    /// Builds the histogram set from the full list of proposals (positive and non-positive).
+    /// The table is laid out in one pass over the proposals, so recording never grows it.
+    pub fn from_proposals(proposals: &[MoveProposal]) -> Self {
+        GainHistogramSet::from_proposals_with_workers(proposals, 1)
+    }
+
+    /// Builds the histogram set over `workers` threads: the proposals lay the table out once,
+    /// each worker accumulates a partial set on that layout over a contiguous chunk of the
+    /// proposal list, and the partials are merged in chunk order. Bin counts are sums, so the
+    /// result is identical for every worker count — this is the "worker-local histograms
+    /// combined by the master" step of Section 3.4 executed on real threads.
     pub fn from_proposals_with_workers(proposals: &[MoveProposal], workers: usize) -> Self {
+        let layout = PairLayout::from_pairs(proposals.iter().map(|p| (p.from, p.to)));
         let partials = rayon::pool::run_chunks(proposals.len(), workers, |range| {
-            GainHistogramSet::from_proposals(&proposals[range])
+            let mut set = GainHistogramSet::with_layout(layout.clone());
+            for p in &proposals[range] {
+                set.record(p);
+            }
+            set
         });
-        let mut merged = GainHistogramSet::default();
+        let mut partials = partials.into_iter();
+        let mut merged = partials
+            .next()
+            .unwrap_or_else(|| GainHistogramSet::with_layout(layout));
         for partial in partials {
             merged.merge(&partial);
         }
         merged
     }
 
-    /// Records one proposal, growing the bucket range if needed.
+    /// Records one proposal.
+    ///
+    /// # Panics
+    /// Panics when the set's layout cannot hold the proposal's pair.
     pub fn record(&mut self, proposal: &MoveProposal) {
         self.histograms
             .entry(proposal.from, proposal.to)
@@ -157,6 +162,10 @@ impl GainHistogramSet {
     }
 
     /// Merges another set into this one.
+    ///
+    /// # Panics
+    /// Panics when `other` holds a pair this set's layout cannot: the sets merged together
+    /// (the partials of one build, the BSP workers' accumulators) share one layout.
     pub fn merge(&mut self, other: &GainHistogramSet) {
         for ((from, to), hist) in other.histograms.iter() {
             self.histograms.entry(from, to).merge(hist);
@@ -173,11 +182,15 @@ impl GainHistogramSet {
         self.histograms.len()
     }
 
+    /// The ordered pairs with candidates, ascending.
+    pub fn pairs(&self) -> impl Iterator<Item = (BucketId, BucketId)> + '_ {
+        self.histograms.keys()
+    }
+
     /// Matches bins of opposite directions for every unordered bucket pair, producing the
-    /// per-bin move probabilities broadcast by the master.
+    /// per-bin move probabilities broadcast by the master. The result is laid out over the
+    /// recorded pairs and their reverses.
     pub fn match_bins(&self) -> PairTable<[f64; NUM_BINS]> {
-        let mut result: PairTable<[f64; NUM_BINS]> =
-            PairTable::new(self.histograms.num_buckets(), [0.0; NUM_BINS]);
         // Visit unordered pairs once, in deterministic order.
         let mut pairs: Vec<(BucketId, BucketId)> = self
             .histograms
@@ -186,6 +199,8 @@ impl GainHistogramSet {
             .collect();
         pairs.sort_unstable();
         pairs.dedup();
+        let layout = PairLayout::from_pairs(pairs.iter().flat_map(|&(i, j)| [(i, j), (j, i)]));
+        let mut result = PairTable::new(layout);
 
         let empty = GainHistogram::default();
         for (i, j) in pairs {
@@ -413,8 +428,12 @@ mod tests {
 
     #[test]
     fn histogram_set_merge_combines_pairs() {
-        let mut a = GainHistogramSet::from_proposals(&[proposal(0, 0, 1, 1.0)]);
-        let b = GainHistogramSet::from_proposals(&[proposal(1, 0, 1, 1.0), proposal(2, 2, 3, 1.0)]);
+        let layout = PairLayout::from_pairs([(0, 1), (2, 3)]);
+        let mut a = GainHistogramSet::with_layout(layout.clone());
+        a.record(&proposal(0, 0, 1, 1.0));
+        let mut b = GainHistogramSet::with_layout(layout);
+        b.record(&proposal(1, 0, 1, 1.0));
+        b.record(&proposal(2, 2, 3, 1.0));
         a.merge(&b);
         assert_eq!(a.num_pairs(), 2);
         assert_eq!(a.get(0, 1).unwrap().total(), 2);

@@ -85,7 +85,7 @@ pub use incremental::{partition_incremental, IncrementalConfig};
 pub use multidim::{partition_multidimensional, MultiDimConfig};
 pub use neighbor_data::NeighborData;
 pub use objective::Objective;
-pub use pair_table::PairTable;
+pub use pair_table::{PairLayout, PairTable};
 pub use recursive::partition_recursive;
 pub use refinement::{ActiveSet, IterationStats, Refiner};
 pub use report::{LevelReport, PartitionResult, RunReport};

@@ -9,13 +9,12 @@
 
 use crate::gains::MoveProposal;
 use crate::histogram::{bin_index, GainHistogramSet, NUM_BINS};
-use crate::pair_table::PairTable;
+use crate::pair_table::{PairLayout, PairTable};
 use shp_hypergraph::BucketId;
 
 /// The swap matrix `S`: `S[(i, j)]` is the number of data vertices currently in bucket `i`
-/// whose best target is bucket `j`. Stored in a dense [`PairTable`] indexed by `i * k + j`
-/// (O(1) hash-free counting; at most `k²` slots, small in the dense-k regime the paper
-/// targets).
+/// whose best target is bucket `j`. Stored in a [`PairTable`] laid out from the counted
+/// proposals (O(1) hash-free counting over the pairs the proposals span, not `k²` slots).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwapMatrix {
     counts: PairTable<u64>,
@@ -24,7 +23,7 @@ pub struct SwapMatrix {
 impl Default for SwapMatrix {
     fn default() -> Self {
         SwapMatrix {
-            counts: PairTable::new(0, 0),
+            counts: PairTable::new(PairLayout::default()),
         }
     }
 }
@@ -33,17 +32,11 @@ impl SwapMatrix {
     /// Builds the swap matrix from a set of proposals, counting only strictly improving moves
     /// (matching the `if gain > 0` condition of Algorithm 1).
     pub fn from_proposals(proposals: &[MoveProposal]) -> Self {
-        let k = proposals
-            .iter()
-            .filter(|p| p.gain > 0.0)
-            .map(|p| p.from.max(p.to) + 1)
-            .max()
-            .unwrap_or(0);
-        let mut counts = PairTable::new(k, 0u64);
-        for p in proposals {
-            if p.gain > 0.0 {
-                *counts.entry(p.from, p.to) += 1;
-            }
+        let improving = || proposals.iter().filter(|p| p.gain > 0.0);
+        let layout = PairLayout::from_pairs(improving().map(|p| (p.from, p.to)));
+        let mut counts = PairTable::new(layout);
+        for p in improving() {
+            *counts.entry(p.from, p.to) += 1;
         }
         SwapMatrix { counts }
     }
@@ -66,7 +59,7 @@ impl SwapMatrix {
     /// Computes the basic move probabilities `min(S_ij, S_ji) / S_ij` for every ordered pair
     /// with candidates.
     pub fn move_probabilities(&self) -> MoveProbabilities {
-        let mut probs = PairTable::new(self.counts.num_buckets(), 0.0f64);
+        let mut probs = PairTable::new(self.counts.layout().clone());
         for ((i, j), &s_ij) in self.counts.iter() {
             if s_ij == 0 {
                 continue;
@@ -86,9 +79,8 @@ pub enum MoveProbabilities {
     /// `probability[(i, j)]` applies to every candidate moving from `i` to `j`.
     Matrix(PairTable<f64>),
     /// `probability[(i, j)][bin]` applies to candidates moving from `i` to `j` whose gain falls
-    /// in `bin` (see [`crate::histogram::bin_index`]). Boxed: the per-bin table's fill
-    /// template alone is larger than the whole matrix variant.
-    Histogram(Box<PairTable<[f64; NUM_BINS]>>),
+    /// in `bin` (see [`crate::histogram::bin_index`]).
+    Histogram(PairTable<[f64; NUM_BINS]>),
 }
 
 impl MoveProbabilities {
@@ -115,12 +107,12 @@ impl MoveProbabilities {
     /// Builds histogram-based probabilities from a histogram set (Section 3.4): bins of the two
     /// directions of every bucket pair are matched from the highest gain downwards.
     pub fn from_histograms(set: &GainHistogramSet) -> Self {
-        MoveProbabilities::Histogram(Box::new(set.match_bins()))
+        MoveProbabilities::Histogram(set.match_bins())
     }
 
     /// An empty probability table (nothing is allowed to move).
     pub fn none() -> Self {
-        MoveProbabilities::Matrix(PairTable::new(0, 0.0))
+        MoveProbabilities::Matrix(PairTable::new(PairLayout::default()))
     }
 }
 

@@ -4,21 +4,14 @@
 //! match the definitions of Sections 1 and 3.1 of the SHP paper.
 
 use crate::bipartite::{BipartiteGraph, QueryId};
-use crate::partition::Partition;
+use crate::partition::{BucketId, Partition};
 
 /// Fanout of a single query: the number of distinct buckets containing at least one of its
 /// data neighbors. Queries with no neighbors have fanout 0.
 pub fn query_fanout(graph: &BipartiteGraph, partition: &Partition, q: QueryId) -> u32 {
-    let mut seen = vec![false; partition.num_buckets() as usize];
-    let mut fanout = 0;
-    for &v in graph.query_neighbors(q) {
-        let b = partition.bucket_of(v) as usize;
-        if !seen[b] {
-            seen[b] = true;
-            fanout += 1;
-        }
-    }
-    fanout
+    let mut scratch = BucketCounts::new(partition);
+    scratch.count(graph, partition, q);
+    scratch.fanout()
 }
 
 /// Number of neighbors of query `q` in each bucket — the "neighbor data" `n_i(q)` of the paper.
@@ -34,6 +27,65 @@ pub fn query_neighbor_counts(
     counts
 }
 
+/// Per-query bucket counts over one reused `k`-slot scratch: counting a query costs
+/// `O(|N(q)|)` and resetting it `O(fanout(q))`, so a whole-graph metric runs in `O(pins + k)`
+/// instead of allocating and scanning `k` slots per query.
+struct BucketCounts {
+    /// Pins of the current query per bucket; zero for untouched buckets.
+    counts: Vec<u32>,
+    /// Buckets with a non-zero count, in first-touch order.
+    touched: Vec<BucketId>,
+}
+
+impl BucketCounts {
+    fn new(partition: &Partition) -> Self {
+        BucketCounts {
+            counts: vec![0; partition.num_buckets() as usize],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Clears the previous query and counts `q`'s pins per bucket.
+    fn count(&mut self, graph: &BipartiteGraph, partition: &Partition, q: QueryId) {
+        for &b in &self.touched {
+            self.counts[b as usize] = 0;
+        }
+        self.touched.clear();
+        for &v in graph.query_neighbors(q) {
+            let b = partition.bucket_of(v);
+            let count = &mut self.counts[b as usize];
+            if *count == 0 {
+                self.touched.push(b);
+            }
+            *count += 1;
+        }
+    }
+
+    /// Fanout of the counted query.
+    fn fanout(&self) -> u32 {
+        self.touched.len() as u32
+    }
+
+    /// The counted query's non-zero counts in ascending bucket order — the order a scan over
+    /// all `k` buckets visits them, so float sums over them stay bit-identical to one.
+    fn ascending(&mut self) -> impl Iterator<Item = u32> + '_ {
+        self.touched.sort_unstable();
+        self.touched.iter().map(|&b| self.counts[b as usize])
+    }
+}
+
+/// Fanout of every query in id order, over one reused scratch.
+fn query_fanouts<'a>(
+    graph: &'a BipartiteGraph,
+    partition: &'a Partition,
+) -> impl Iterator<Item = u32> + 'a {
+    let mut scratch = BucketCounts::new(partition);
+    graph.queries().map(move |q| {
+        scratch.count(graph, partition, q);
+        scratch.fanout()
+    })
+}
+
 /// Average fanout over all queries: `fanout(P) = (1/|Q|) Σ_q fanout(P, q)`.
 ///
 /// Returns 0 for a graph without queries.
@@ -41,30 +93,28 @@ pub fn average_fanout(graph: &BipartiteGraph, partition: &Partition) -> f64 {
     if graph.num_queries() == 0 {
         return 0.0;
     }
-    let total: u64 = graph
-        .queries()
-        .map(|q| query_fanout(graph, partition, q) as u64)
-        .sum();
+    let total: u64 = query_fanouts(graph, partition).map(u64::from).sum();
     total as f64 / graph.num_queries() as f64
 }
 
 /// Maximum fanout over all queries.
 pub fn max_fanout(graph: &BipartiteGraph, partition: &Partition) -> u32 {
-    graph
-        .queries()
-        .map(|q| query_fanout(graph, partition, q))
-        .max()
-        .unwrap_or(0)
+    query_fanouts(graph, partition).max().unwrap_or(0)
 }
 
 /// Probabilistic fanout of one query for probability `p`:
 /// `p-fanout(q) = Σ_i (1 − (1 − p)^{n_i(q)})`.
 pub fn query_p_fanout(graph: &BipartiteGraph, partition: &Partition, q: QueryId, p: f64) -> f64 {
-    let counts = query_neighbor_counts(graph, partition, q);
-    counts
-        .iter()
-        .filter(|&&n| n > 0)
-        .map(|&n| 1.0 - (1.0 - p).powi(n as i32))
+    let mut scratch = BucketCounts::new(partition);
+    scratch.count(graph, partition, q);
+    p_fanout_terms(&mut scratch, p)
+}
+
+/// The counted query's p-fanout, summed in ascending bucket order.
+fn p_fanout_terms(scratch: &mut BucketCounts, p: f64) -> f64 {
+    scratch
+        .ascending()
+        .map(|n| 1.0 - (1.0 - p).powi(n as i32))
         .sum()
 }
 
@@ -73,34 +123,28 @@ pub fn average_p_fanout(graph: &BipartiteGraph, partition: &Partition, p: f64) -
     if graph.num_queries() == 0 {
         return 0.0;
     }
+    let mut scratch = BucketCounts::new(partition);
     let total: f64 = graph
         .queries()
-        .map(|q| query_p_fanout(graph, partition, q, p))
+        .map(|q| {
+            scratch.count(graph, partition, q);
+            p_fanout_terms(&mut scratch, p)
+        })
         .sum();
     total / graph.num_queries() as f64
 }
 
 /// Number of hyperedges (queries) spanning more than one bucket — the hyperedge-cut metric.
 pub fn hyperedge_cut(graph: &BipartiteGraph, partition: &Partition) -> u64 {
-    graph
-        .queries()
-        .filter(|&q| query_fanout(graph, partition, q) > 1)
-        .count() as u64
+    query_fanouts(graph, partition).filter(|&f| f > 1).count() as u64
 }
 
 /// Sum of external degrees: `Σ_q fanout(q) [fanout(q) > 1]`, i.e. communication volume plus
 /// hyperedge cut (footnote 2 of the paper), computed un-normalized.
 pub fn sum_external_degrees(graph: &BipartiteGraph, partition: &Partition) -> u64 {
-    graph
-        .queries()
-        .map(|q| {
-            let f = query_fanout(graph, partition, q) as u64;
-            if f > 1 {
-                f
-            } else {
-                0
-            }
-        })
+    query_fanouts(graph, partition)
+        .filter(|&f| f > 1)
+        .map(u64::from)
         .sum()
 }
 
@@ -108,16 +152,21 @@ pub fn sum_external_degrees(graph: &BipartiteGraph, partition: &Partition) -> u6
 /// pair of its data neighbors lying in different buckets, add 1.
 ///
 /// This is `Σ_{u<v} w(u,v) [bucket(u) ≠ bucket(v)]` with `w(u,v)` = number of shared queries,
-/// evaluated query-by-query in O(Σ_q |N(q)|·k) without materializing the clique graph.
+/// evaluated query-by-query in `O(pins + k)` without materializing the clique graph.
 pub fn weighted_edge_cut(graph: &BipartiteGraph, partition: &Partition) -> u64 {
+    let mut scratch = BucketCounts::new(partition);
     let mut cut = 0u64;
     for q in graph.queries() {
-        let counts = query_neighbor_counts(graph, partition, q);
-        let deg: u64 = counts.iter().map(|&c| c as u64).sum();
+        scratch.count(graph, partition, q);
+        let deg = graph.query_neighbors(q).len() as u64;
         let total_pairs = deg * deg.saturating_sub(1) / 2;
-        let same_pairs: u64 = counts
+        let same_pairs: u64 = scratch
+            .touched
             .iter()
-            .map(|&c| (c as u64) * (c as u64).saturating_sub(1) / 2)
+            .map(|&b| {
+                let c = scratch.counts[b as usize] as u64;
+                c * c.saturating_sub(1) / 2
+            })
             .sum();
         cut += total_pairs - same_pairs;
     }
@@ -142,9 +191,8 @@ impl FanoutHistogram {
     /// Builds the histogram of fanout values for all queries of the graph.
     pub fn compute(graph: &BipartiteGraph, partition: &Partition) -> Self {
         let mut counts = vec![0u64; partition.num_buckets() as usize + 1];
-        for q in graph.queries() {
-            let f = query_fanout(graph, partition, q) as usize;
-            counts[f] += 1;
+        for f in query_fanouts(graph, partition) {
+            counts[f as usize] += 1;
         }
         FanoutHistogram {
             counts,

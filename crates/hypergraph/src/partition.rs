@@ -228,6 +228,19 @@ impl Partition {
         old
     }
 
+    /// Applies every `(v, b)` move in order, leaving the same state as one
+    /// [`Partition::assign`] call per move. The least-loaded bucket is recomputed once at the
+    /// end, so a batch costs `O(moves + k)` instead of up to `O(k)` per move.
+    pub fn assign_all(&mut self, moves: &[(DataId, BucketId)]) {
+        for &(v, b) in moves {
+            let old = std::mem::replace(&mut self.assignment[v as usize], b);
+            let w = self.vertex_weight(v);
+            self.bucket_weights[old as usize] -= w;
+            self.bucket_weights[b as usize] += w;
+        }
+        self.least_loaded = first_min_bucket(&self.bucket_weights);
+    }
+
     /// The maximum allowed bucket weight under imbalance ratio `epsilon`:
     /// `⌊(1 + ε) · ⌈total / k⌉⌋` — the usual hypergraph-partitioning convention, which keeps
     /// perfectly balanced partitions feasible when `k` does not divide the total weight.
@@ -392,6 +405,21 @@ mod tests {
         assert_eq!(old, 2);
         assert_eq!(p.bucket_weight(2), 2);
         assert_eq!(p.total_weight(), 6);
+    }
+
+    #[test]
+    fn assign_all_equals_one_assign_per_move() {
+        let g = chain_graph(8);
+        let moves = [(0, 2), (1, 2), (7, 0), (0, 3), (5, 5), (3, 1), (2, 2)];
+        let mut batched = Partition::new_uniform(&g, 6).unwrap();
+        let mut single = batched.clone();
+        batched.assign_all(&moves);
+        for &(v, b) in &moves {
+            single.assign(v, b);
+        }
+        assert_eq!(batched, single);
+        assert_eq!(batched.bucket_weights(), single.bucket_weights());
+        assert_eq!(batched.least_loaded_bucket(), single.least_loaded_bucket());
     }
 
     #[test]

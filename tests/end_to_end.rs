@@ -170,6 +170,7 @@ fn serving_engine_reports_lower_fanout_and_latency_for_shp() {
 fn live_partition_swap_never_drops_or_double_serves_a_key() {
     use shp::serving::{value_of, EngineConfig, ServingEngine};
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
 
     let graph = workload(1_500, 23);
     let shards = 8;
@@ -184,17 +185,25 @@ fn live_partition_swap_never_drops_or_double_serves_a_key() {
     let engine = ServingEngine::new(&random, EngineConfig::default()).unwrap();
     let queries: Vec<u32> = graph.queries().collect();
     let stop = AtomicBool::new(false);
+    let clients = 4usize;
+    // The swaps start only once every client has served a multiget, so they cannot all land
+    // before any client runs.
+    let serving = Barrier::new(clients + 1);
 
     std::thread::scope(|scope| {
         let engine = &engine;
         let graph = &graph;
         let stop = &stop;
         let queries = &queries;
-        // Four clients hammer multigets and verify exact coverage on every answer.
-        for offset in 0..4usize {
+        let serving = &serving;
+        // Four clients hammer multigets and verify exact coverage on every answer. Each keeps
+        // going after the stop signal until it has been served under a swapped placement.
+        for offset in 0..clients {
             scope.spawn(move || {
                 let mut i = offset;
-                while !stop.load(Ordering::Relaxed) {
+                let mut waited = false;
+                let mut saw_swap = false;
+                while !(stop.load(Ordering::Relaxed) && saw_swap) {
                     let q = queries[i % queries.len()];
                     let keys = graph.query_neighbors(q);
                     let result = engine.multiget(keys).expect("multiget failed mid-swap");
@@ -209,11 +218,17 @@ fn live_partition_swap_never_drops_or_double_serves_a_key() {
                     for &(k, v) in &result.values {
                         assert_eq!(v, value_of(k), "wrong record served during a swap");
                     }
-                    i += 4;
+                    saw_swap |= result.epoch >= 1;
+                    if !waited {
+                        serving.wait();
+                        waited = true;
+                    }
+                    i += clients;
                 }
             });
         }
         // The swapper repeatedly flips between the two placements under full load.
+        serving.wait();
         for swap in 0..60 {
             let epoch = engine
                 .install_partition(if swap % 2 == 0 { &shp } else { &random })

@@ -1,69 +1,19 @@
 //! Bounded-memory gate for the streaming `.shpb` writer.
 //!
-//! This binary installs a peak-live-tracking global allocator and holds exactly one test, so
-//! the measurement cannot be polluted by concurrent tests in the same process (the bench
-//! crate's `CountingAllocator` counts allocations but not deallocations, so it cannot see
-//! *live* footprint — this gate needs its own allocator).
+//! This binary installs the peak-live-tracking allocator of `tests/peak_heap` and holds
+//! exactly one test, so the measurement cannot be polluted by concurrent tests in the same
+//! process.
 //!
 //! The claim under test: streaming a graph to disk peaks at `O(D + chunk)` live heap — the
 //! degree/offset table plus one bounded transpose window — not at `O(P)` like materializing
 //! the graph does. A generator whose CSR would occupy megabytes must stream through a peak
 //! several times smaller than the graph itself.
 
+mod peak_heap;
+
+use peak_heap::peak_during;
 use shp::datagen::{power_law_bipartite, PowerLawConfig, PowerLawStream};
 use shp::hypergraph::io::stream_shpb_file_with;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Tracks live bytes and their high-water mark. Relaxed ordering is fine: the only test is
-/// single-threaded, and approximate peaks are all the gate needs.
-struct PeakTracking;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for PeakTracking {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(live, Ordering::Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let new_ptr = System.realloc(ptr, layout, new_size);
-        if !new_ptr.is_null() {
-            if new_size >= layout.size() {
-                let live = LIVE.fetch_add(new_size - layout.size(), Ordering::Relaxed)
-                    + (new_size - layout.size());
-                PEAK.fetch_max(live, Ordering::Relaxed);
-            } else {
-                LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-            }
-        }
-        new_ptr
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: PeakTracking = PeakTracking;
-
-/// Resets the high-water mark to the current live level and runs `f`, returning the peak
-/// *additional* live bytes `f` reached above its starting point.
-fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    let value = f();
-    let peak = PEAK.load(Ordering::Relaxed);
-    (value, peak.saturating_sub(base))
-}
 
 #[test]
 fn streaming_peaks_far_below_the_materialized_graph() {
