@@ -1,8 +1,9 @@
 //! # shp-bench
 //!
 //! Shared harness utilities for the benchmark binaries that regenerate the tables and figures
-//! of the SHP paper's evaluation (Section 4). Each binary prints the same rows/series the paper
-//! reports; see `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for recorded runs.
+//! of the SHP paper's evaluation (Section 4). Each binary in `src/bin/` is named after the
+//! table or figure it reproduces (`table1_datasets` … `table3_scalability`, `fig4_latency` …
+//! `fig8_objectives`) and prints the same rows/series the paper reports.
 //!
 //! All binaries accept the environment variable `SHP_BENCH_SCALE` (default `0.01`) controlling
 //! the fraction of the published dataset sizes that is synthesized, so the full suite runs on a

@@ -175,7 +175,10 @@ impl ProgressObserver for TelemetryObserver<'_> {
 /// by every adapter before it starts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PartitionSpec {
-    /// Number of buckets `k`.
+    /// Number of buckets `k`. It may exceed the number of data vertices `|D|`: with `ε < 1`
+    /// the capacity `⌊(1 + ε)·⌈|D|/k⌉⌋` is then one vertex, so [`enforce_balance`] leaves at
+    /// most one unit-weight vertex per bucket, `k − |D|` buckets stay empty, and the outcome
+    /// reports imbalance `k/|D| − 1`.
     pub num_buckets: u32,
     /// Allowed imbalance ratio `ε ≥ 0`; every outcome satisfies the corresponding
     /// [`Partition::max_allowed_weight`] capacity.
@@ -401,7 +404,9 @@ pub trait Partitioner {
 /// Vertices are taken from overfull buckets in descending id order and moved to the currently
 /// lightest bucket. For the unit-weight partitions this workspace produces, the capacity
 /// `⌊(1 + ε)⌈n/k⌉⌋ ≥ ⌈n/k⌉` always admits a full repair; with heterogeneous vertex weights the
-/// repair is best-effort. Returns the number of vertices moved (0 when already balanced).
+/// repair is best-effort. When `k > n` and `ε < 1` the capacity is one vertex, so the repair
+/// spreads the vertices one per bucket and `k − n` buckets stay empty. Returns the number of
+/// vertices moved (0 when already balanced).
 ///
 /// Costs `O(k)` on a balanced partition and `O(|D| + k·log k + moves·log k)` otherwise.
 pub fn enforce_balance(partition: &mut Partition, epsilon: f64) -> usize {

@@ -27,7 +27,24 @@ pub fn partition_direct(graph: &BipartiteGraph, config: &ShpConfig) -> ShpResult
     let start = Instant::now();
     let mut rng = Pcg64::seed_from_u64(config.seed);
     let mut partition = Partition::new_random(graph, config.num_buckets, &mut rng)?;
-    let history = refine_in_place(graph, config, &mut partition, None);
+    let refiner = Refiner::new(
+        graph,
+        Objective::from_kind(config.objective),
+        TargetConstraint::all(config.num_buckets),
+        config.swap_strategy,
+        config.balance_mode,
+        config.allow_imbalanced_moves,
+        config.epsilon,
+        config.seed,
+    )
+    .with_workers(config.workers);
+    let mut nd = NeighborData::build_with_workers(graph, &partition, config.workers);
+    let history = refiner.run(
+        &mut partition,
+        &mut nd,
+        config.max_iterations,
+        config.convergence_threshold,
+    );
     let elapsed = start.elapsed();
 
     let report = RunReport {
@@ -39,38 +56,6 @@ pub fn partition_direct(graph: &BipartiteGraph, config: &ShpConfig) -> ShpResult
         elapsed,
     };
     Ok(PartitionResult { partition, report })
-}
-
-/// Runs direct k-way refinement starting from an existing partition (used by the incremental
-/// update path and by tests). `max_iterations_override` replaces the configured limit when
-/// given.
-pub fn refine_in_place(
-    graph: &BipartiteGraph,
-    config: &ShpConfig,
-    partition: &mut Partition,
-    max_iterations_override: Option<usize>,
-) -> Vec<crate::refinement::IterationStats> {
-    let objective = Objective::from_kind(config.objective);
-    let constraint = TargetConstraint::all(config.num_buckets);
-    let refiner = Refiner::new(
-        graph,
-        objective,
-        constraint,
-        config.swap_strategy,
-        config.balance_mode,
-        config.allow_imbalanced_moves,
-        config.epsilon,
-        config.seed,
-    )
-    .with_workers(config.workers);
-    let mut nd = NeighborData::build_with_workers(graph, partition, config.workers);
-    let max_iterations = max_iterations_override.unwrap_or(config.max_iterations);
-    refiner.run(
-        partition,
-        &mut nd,
-        max_iterations,
-        config.convergence_threshold,
-    )
 }
 
 #[cfg(test)]

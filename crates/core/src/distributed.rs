@@ -14,18 +14,32 @@
 //!    probabilities (the global value); every data vertex flips its deterministic coin and
 //!    moves accordingly.
 //!
-//! The result is numerically equivalent to the in-process path for the same seed and swap
-//! strategy; what the distributed path adds is per-superstep communication accounting and the
-//! ability to scale the number of simulated workers (Figures 5a/5b, Table 3).
+//! What the distributed path adds is per-superstep communication accounting and the ability to
+//! scale the number of simulated workers (Figures 5a/5b, Table 3). It shares with the
+//! in-process paths ([`crate::partition_recursive`], [`crate::partition_direct`]) the SHP-r
+//! split schedule, the per-level seeds, the random start of direct mode, the move
+//! probabilities ([`MoveProbabilities`], built from the merged gain histograms) and the
+//! per-(seed, iteration, vertex) move coins. It is **not** numerically equivalent to them:
+//!
+//! * it reads no `ε`, `balance_mode` or `allow_imbalanced_moves`, so no capacity trim follows
+//!   the coins;
+//! * under the `All` constraint it never proposes the least-loaded untouched bucket;
+//! * it sums a vertex's gain as a base gain plus per-bucket deltas, which rounds differently.
+//!
+//! On email-Enron 0.05, soc-Epinions 0.02 and web-Stanford 0.01 at k ∈ {2, 5, 8, 13, 32, 64},
+//! with both swap strategies and seed 7, the two give the same partition in 0 of 36 bisection
+//! runs and 2 of 36 direct runs; `tests/end_to_end.rs` checks that their fanouts stay in one
+//! quality band.
 
 use crate::config::{PartitionMode, ShpConfig, SwapStrategy};
 use crate::error::ShpResult;
 use crate::gains::{MoveProposal, TargetConstraint};
-use crate::histogram::{GainHistogramSet, NUM_BINS};
+use crate::histogram::GainHistogramSet;
 use crate::objective::Objective;
-use crate::pair_table::{PairLayout, PairTable};
+use crate::pair_table::PairLayout;
+use crate::recursive::split_schedule;
 use crate::refinement::unit_hash;
-use rand::Rng;
+use crate::swap::{MoveProbabilities, SwapMatrix};
 use rand::SeedableRng;
 use rand_pcg::Pcg64;
 use serde::{Deserialize, Serialize};
@@ -101,8 +115,8 @@ struct ShpAggregate {
 #[derive(Debug, Clone, Default)]
 struct ShpGlobal {
     iteration: usize,
-    probabilities: Option<PairTable<[f64; NUM_BINS]>>,
-    matrix_probabilities: Option<PairTable<f64>>,
+    /// The current iteration's move probabilities; empty outside the move superstep.
+    probabilities: MoveProbabilities,
     pending_fanout: f64,
     history: Vec<DistributedIterationStats>,
 }
@@ -174,7 +188,13 @@ impl VertexProgram for ShpProgram {
                 3 => {
                     // Superstep 4: apply the move with the master-provided probability.
                     if let Some((to, gain)) = proposal.take() {
-                        let prob = lookup_probability(ctx.global(), *bucket, to, gain);
+                        let candidate = MoveProposal {
+                            vertex,
+                            from: *bucket,
+                            to,
+                            gain,
+                        };
+                        let prob = ctx.global().probabilities.probability(&candidate);
                         let iteration = ctx.global().iteration as u64;
                         if prob > 0.0 && unit_hash(self.seed, iteration, vertex as u64) < prob {
                             *bucket = to;
@@ -254,17 +274,14 @@ impl VertexProgram for ShpProgram {
             2 => {
                 // End of the gain superstep: turn the aggregated histograms into move
                 // probabilities.
-                match self.swap_strategy {
+                global.probabilities = match self.swap_strategy {
                     SwapStrategy::Histogram => {
-                        global.probabilities = Some(aggregate.histograms.match_bins());
-                        global.matrix_probabilities = None;
+                        MoveProbabilities::from_histograms(&aggregate.histograms)
                     }
                     SwapStrategy::Matrix => {
-                        global.matrix_probabilities =
-                            Some(matrix_probabilities(&aggregate.histograms));
-                        global.probabilities = None;
+                        SwapMatrix::from_histograms(&aggregate.histograms).move_probabilities()
                     }
-                }
+                };
                 MasterOutcome::Continue(global)
             }
             3 => {
@@ -276,8 +293,7 @@ impl VertexProgram for ShpProgram {
                     fanout: global.pending_fanout,
                 });
                 global.iteration += 1;
-                global.probabilities = None;
-                global.matrix_probabilities = None;
+                global.probabilities = MoveProbabilities::default();
                 let moved_fraction = moved as f64 / self.num_data.max(1) as f64;
                 if global.iteration >= self.max_iterations
                     || moved_fraction < self.convergence_threshold
@@ -391,49 +407,6 @@ fn compute_distributed_proposal(
     best
 }
 
-/// Looks up the move probability for a proposal in the broadcast global value.
-fn lookup_probability(global: &ShpGlobal, from: BucketId, to: BucketId, gain: f64) -> f64 {
-    if let Some(table) = &global.probabilities {
-        return table
-            .get(from, to)
-            .map(|bins| bins[crate::histogram::bin_index(gain)])
-            .unwrap_or(0.0);
-    }
-    if let Some(table) = &global.matrix_probabilities {
-        if gain > 0.0 {
-            return table.get(from, to).copied().unwrap_or(0.0);
-        }
-    }
-    0.0
-}
-
-/// Derives the basic swap-matrix probabilities `min(S_ij, S_ji)/S_ij` from gain histograms by
-/// counting the positive-gain candidates of every ordered pair, laid out over the recorded
-/// pairs.
-fn matrix_probabilities(set: &GainHistogramSet) -> PairTable<f64> {
-    let positive_count = |from: BucketId, to: BucketId| -> u64 {
-        set.get(from, to)
-            .map(|h| {
-                (0..NUM_BINS)
-                    .filter(|&b| crate::histogram::bin_representative(b) > 0.0)
-                    .map(|b| h.count(b))
-                    .sum()
-            })
-            .unwrap_or(0)
-    };
-    // Only a recorded pair can have a positive count.
-    let mut probs = PairTable::new(PairLayout::from_pairs(set.pairs()));
-    for (i, j) in set.pairs() {
-        let s_ij = positive_count(i, j);
-        if s_ij == 0 {
-            continue;
-        }
-        let s_ji = positive_count(j, i);
-        probs.insert(i, j, s_ij.min(s_ji) as f64 / s_ij as f64);
-    }
-    probs
-}
-
 /// Runs the distributed SHP on `num_workers` simulated workers.
 ///
 /// Direct mode runs one engine job; recursive mode runs one engine job per recursion level with
@@ -450,102 +423,44 @@ pub fn partition_distributed(
 ) -> ShpResult<DistributedRunResult> {
     config.validate()?;
     let start = Instant::now();
-    let mut rng = Pcg64::seed_from_u64(config.seed);
     let mut metrics = ExecutionMetrics::new(num_workers);
     let mut history = Vec::new();
 
-    let partition = match config.mode {
+    let assignment = match config.mode {
         PartitionMode::Direct => {
-            let initial: Vec<BucketId> = (0..graph.num_data())
-                .map(|_| rng.gen_range(0..config.num_buckets))
-                .collect();
-            let objective = Objective::from_kind(config.objective);
-            let constraint = TargetConstraint::all(config.num_buckets);
-            let final_assignment = run_level(
+            let mut rng = Pcg64::seed_from_u64(config.seed);
+            let initial = Partition::new_random(graph, config.num_buckets, &mut rng)?;
+            run_level(
                 graph,
                 config,
-                &initial,
-                objective,
-                constraint,
-                config.max_iterations,
+                initial.assignment(),
+                Objective::from_kind(config.objective),
+                TargetConstraint::all(config.num_buckets),
                 num_workers,
                 config.seed,
                 &mut metrics,
                 &mut history,
-            );
-            Partition::from_assignment(graph, config.num_buckets, final_assignment)?
+            )
         }
         PartitionMode::Recursive { arity } => {
             let mut assignment: Vec<BucketId> = vec![0; graph.num_data()];
-            let mut targets: Vec<u32> = vec![config.num_buckets];
-            let mut level = 0usize;
-            while targets.iter().any(|&t| t > 1) {
-                // Split every group into up to `arity` children.
-                let mut children_of: Vec<Vec<BucketId>> = Vec::with_capacity(targets.len());
-                let mut child_targets: Vec<u32> = Vec::new();
-                for &t in &targets {
-                    let num_children = t.min(arity).max(1);
-                    let mut ids = Vec::new();
-                    for c in 0..num_children {
-                        ids.push(child_targets.len() as BucketId);
-                        let base = t / num_children;
-                        let extra = t % num_children;
-                        child_targets.push(if c < extra { base + 1 } else { base });
-                    }
-                    children_of.push(ids);
-                }
-                let seed = config
-                    .seed
-                    .wrapping_add((level as u64).wrapping_mul(0x9E37_79B9));
-                // Random initial assignment among the children, weighted by child targets.
-                for (v, slot) in assignment.iter_mut().enumerate() {
-                    let children = &children_of[*slot as usize];
-                    *slot = if children.len() == 1 {
-                        children[0]
-                    } else {
-                        let total: u32 = children.iter().map(|&c| child_targets[c as usize]).sum();
-                        let r = unit_hash(seed, 0x5EED, v as u64) * total as f64;
-                        let mut acc = 0.0;
-                        let mut chosen = children[children.len() - 1];
-                        for &c in children {
-                            acc += child_targets[c as usize] as f64;
-                            if r < acc {
-                                chosen = c;
-                                break;
-                            }
-                        }
-                        chosen
-                    };
-                }
-                let sibling_groups: Vec<Vec<BucketId>> = children_of
-                    .iter()
-                    .filter(|c| c.len() > 1)
-                    .cloned()
-                    .collect();
-                let constraint = TargetConstraint::sibling_groups(&sibling_groups);
-                let mut objective = Objective::from_kind(config.objective);
-                if config.optimize_final_p_fanout {
-                    objective = objective
-                        .for_final_splits(child_targets.iter().copied().max().unwrap_or(1));
-                }
+            for level in split_schedule(config, arity) {
                 assignment = run_level(
                     graph,
                     config,
-                    &assignment,
-                    objective,
-                    constraint,
-                    config.max_iterations,
+                    &level.split(&assignment),
+                    level.objective,
+                    level.constraint,
                     num_workers,
-                    seed,
+                    level.seed,
                     &mut metrics,
                     &mut history,
                 );
-                targets = child_targets;
-                level += 1;
             }
-            Partition::from_assignment(graph, config.num_buckets, assignment)?
+            assignment
         }
     };
+    let partition = Partition::from_assignment(graph, config.num_buckets, assignment)?;
 
     Ok(DistributedRunResult {
         final_fanout: average_fanout(graph, &partition),
@@ -557,8 +472,8 @@ pub fn partition_distributed(
     })
 }
 
-/// Runs one engine job (one recursion level or the whole direct optimization), returning the
-/// final bucket assignment.
+/// Runs one engine job (one recursion level or the whole direct optimization) of at most
+/// `config.max_iterations` iterations, returning the final bucket assignment.
 #[allow(clippy::too_many_arguments)]
 fn run_level(
     graph: &BipartiteGraph,
@@ -566,7 +481,6 @@ fn run_level(
     initial_assignment: &[BucketId],
     objective: Objective,
     constraint: TargetConstraint,
-    max_iterations: usize,
     num_workers: usize,
     seed: u64,
     metrics: &mut ExecutionMetrics,
@@ -596,11 +510,11 @@ fn run_level(
         pair_layout: constraint.pair_layout(),
         constraint,
         swap_strategy: config.swap_strategy,
-        max_iterations,
+        max_iterations: config.max_iterations,
         convergence_threshold: config.convergence_threshold,
         seed,
     };
-    let engine_config = EngineConfig::new(num_workers, max_iterations * 4 + 4);
+    let engine_config = EngineConfig::new(num_workers, config.max_iterations * 4 + 4);
     let mut engine = Engine::new(program, topo.build(), values, engine_config);
     engine.run();
 
@@ -734,7 +648,6 @@ mod tests {
             &initial,
             Objective::from_kind(config.objective),
             constraint,
-            10,
             2,
             1,
             &mut metrics,

@@ -7,7 +7,7 @@
 
 use crate::config::ShpConfig;
 use crate::error::{ShpError, ShpResult};
-use crate::gains::TargetConstraint;
+use crate::gains::{move_gain, TargetConstraint};
 use crate::neighbor_data::NeighborData;
 use crate::objective::Objective;
 use crate::refinement::{IterationStats, Refiner};
@@ -238,14 +238,8 @@ fn select_budgeted_moves(
     let mut candidates: Vec<(f64, u32, u32)> = (0..graph.num_data() as u32)
         .filter(|&v| !repaired[v as usize] && full.bucket_of(v) != previous.bucket_of(v))
         .map(|v| {
-            let from = previous.bucket_of(v);
             let to = full.bucket_of(v);
-            let gain: f64 = graph
-                .data_neighbors(v)
-                .iter()
-                .map(|&q| objective.per_query_gain(nd.count(q, from), nd.count(q, to)))
-                .sum();
-            (gain, v, to)
+            (move_gain(&objective, graph, previous, &nd, v, to), v, to)
         })
         .collect();
     candidates.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));

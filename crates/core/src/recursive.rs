@@ -19,18 +19,10 @@ use crate::error::{ShpError, ShpResult};
 use crate::gains::TargetConstraint;
 use crate::neighbor_data::NeighborData;
 use crate::objective::Objective;
-use crate::refinement::Refiner;
+use crate::refinement::{unit_hash, Refiner};
 use crate::report::{LevelReport, PartitionResult, RunReport};
 use shp_hypergraph::{average_fanout, average_p_fanout, BipartiteGraph, BucketId, Partition};
 use std::time::Instant;
-
-/// Per-bucket bookkeeping during the recursion: how many final buckets this bucket must still
-/// be divided into.
-#[derive(Debug, Clone)]
-struct Group {
-    /// Number of final buckets this group is responsible for (`1` = leaf, no further splits).
-    targets: u32,
-}
 
 /// Partitions `graph` into `config.num_buckets` buckets by recursive splitting with the arity
 /// of `config.mode` (SHP-2 when the arity is 2).
@@ -51,101 +43,29 @@ pub fn partition_recursive(
             ))
         }
     };
-    let k = config.num_buckets;
     let start = Instant::now();
     let run_span = shp_telemetry::Span::enter("partition/recursive");
 
     // All vertices start in a single bucket responsible for k final buckets.
     let mut partition = Partition::new_uniform(graph, 1)?;
-    let mut groups = vec![Group { targets: k }];
-
-    let total_levels = total_levels(k, arity);
     let mut history = Vec::new();
     let mut levels = Vec::new();
-    let mut level = 0usize;
 
-    while groups.iter().any(|g| g.targets > 1) {
+    for level in split_schedule(config, arity) {
         let _level_span = run_span.child("level");
         let level_start = Instant::now();
-
-        // Decide the children of every current bucket.
-        let mut children_of: Vec<Vec<BucketId>> = Vec::with_capacity(groups.len());
-        let mut child_targets: Vec<u32> = Vec::new();
-        for group in &groups {
-            let num_children = group.targets.min(arity).max(1);
-            let mut child_ids = Vec::with_capacity(num_children as usize);
-            for c in 0..num_children {
-                child_ids.push(child_targets.len() as BucketId);
-                // Distribute the group's remaining target count as evenly as possible.
-                let share = split_share(group.targets, num_children, c);
-                child_targets.push(share);
-            }
-            children_of.push(child_ids);
-        }
-        let new_k = child_targets.len() as u32;
-
-        // Re-assign every vertex to one of its bucket's children, weighted by the child's share
-        // of final buckets, using the deterministic per-vertex hash.
-        let seed = config
-            .seed
-            .wrapping_add((level as u64).wrapping_mul(0x9E37_79B9));
-        let assignment: Vec<BucketId> = (0..graph.num_data() as u32)
-            .map(|v| {
-                let old = partition.bucket_of(v);
-                let children = &children_of[old as usize];
-                if children.len() == 1 {
-                    children[0]
-                } else {
-                    let total: u32 = children.iter().map(|&c| child_targets[c as usize]).sum();
-                    let r = crate::refinement::unit_hash(seed, 0x5EED, v as u64) * total as f64;
-                    let mut acc = 0.0;
-                    let mut chosen = children[children.len() - 1];
-                    for &c in children {
-                        acc += child_targets[c as usize] as f64;
-                        if r < acc {
-                            chosen = c;
-                            break;
-                        }
-                    }
-                    chosen
-                }
-            })
-            .collect();
-        partition = Partition::from_assignment(graph, new_k, assignment)?;
-
-        // Only groups that actually split participate in refinement; pass-through groups form
-        // singleton sibling sets with no admissible moves.
-        let sibling_groups: Vec<Vec<BucketId>> = children_of
-            .iter()
-            .filter(|c| c.len() > 1)
-            .cloned()
-            .collect();
-        let constraint = TargetConstraint::sibling_groups(&sibling_groups);
-
-        // ε scaling over recursion depth (Section 3.4).
-        let epsilon = if config.scale_epsilon_by_level {
-            config.epsilon * (level + 1) as f64 / total_levels.max(1) as f64
-        } else {
-            config.epsilon
-        };
-
-        // Optimize an approximation of the final p-fanout if requested: each child bucket will
-        // eventually be split into at most `max_remaining` final buckets.
-        let mut objective = Objective::from_kind(config.objective);
-        if config.optimize_final_p_fanout {
-            let max_remaining = child_targets.iter().copied().max().unwrap_or(1);
-            objective = objective.for_final_splits(max_remaining);
-        }
+        let assignment = level.split(partition.assignment());
+        partition = Partition::from_assignment(graph, level.num_buckets, assignment)?;
 
         let refiner = Refiner::new(
             graph,
-            objective,
-            constraint,
+            level.objective,
+            level.constraint,
             config.swap_strategy,
             config.balance_mode,
             config.allow_imbalanced_moves,
-            epsilon,
-            seed,
+            level.epsilon,
+            level.seed,
         )
         .with_workers(config.workers);
         let mut nd = NeighborData::build_with_workers(graph, &partition, config.workers);
@@ -157,22 +77,16 @@ pub fn partition_recursive(
         );
 
         levels.push(LevelReport {
-            level,
-            buckets_after: new_k,
+            level: level.index,
+            buckets_after: level.num_buckets,
             iterations: level_history.len(),
             fanout_after: nd.average_fanout(),
             elapsed: level_start.elapsed(),
         });
         history.extend(level_history);
-
-        groups = child_targets
-            .iter()
-            .map(|&t| Group { targets: t })
-            .collect();
-        level += 1;
     }
 
-    debug_assert_eq!(partition.num_buckets(), k);
+    debug_assert_eq!(partition.num_buckets(), config.num_buckets);
     let elapsed = start.elapsed();
     let report = RunReport {
         final_fanout: average_fanout(graph, &partition),
@@ -183,6 +97,112 @@ pub fn partition_recursive(
         elapsed,
     };
     Ok(PartitionResult { partition, report })
+}
+
+/// The SHP-r level schedule: every bucket responsible for more than one final bucket splits
+/// into up to `arity` children per level, until all `config.num_buckets` buckets exist. Both
+/// the in-process path ([`partition_recursive`]) and the BSP path
+/// ([`crate::partition_distributed`]) iterate it, so the split policy has one home.
+pub(crate) fn split_schedule(
+    config: &ShpConfig,
+    arity: u32,
+) -> impl Iterator<Item = SplitLevel> + '_ {
+    let total_levels = total_levels(config.num_buckets, arity);
+    // Number of final buckets every current bucket is responsible for.
+    let mut targets = vec![config.num_buckets];
+    (0..).map_while(move |index: usize| {
+        if targets.iter().all(|&t| t <= 1) {
+            return None;
+        }
+        let mut first_child = Vec::with_capacity(targets.len() + 1);
+        let mut child_targets: Vec<u32> = Vec::new();
+        let mut sibling_groups: Vec<Vec<BucketId>> = Vec::new();
+        for &t in &targets {
+            let num_children = t.min(arity).max(1);
+            let first = child_targets.len() as BucketId;
+            first_child.push(first);
+            child_targets.extend((0..num_children).map(|c| split_share(t, num_children, c)));
+            if num_children > 1 {
+                sibling_groups.push((first..first + num_children).collect());
+            }
+        }
+        first_child.push(child_targets.len() as BucketId);
+        let mut objective = Objective::from_kind(config.objective);
+        if config.optimize_final_p_fanout {
+            objective =
+                objective.for_final_splits(child_targets.iter().copied().max().unwrap_or(1));
+        }
+        let epsilon = if config.scale_epsilon_by_level {
+            config.epsilon * (index + 1) as f64 / total_levels.max(1) as f64
+        } else {
+            config.epsilon
+        };
+        targets.clone_from(&child_targets);
+        Some(SplitLevel {
+            index,
+            num_buckets: child_targets.len() as u32,
+            seed: config
+                .seed
+                .wrapping_add((index as u64).wrapping_mul(0x9E37_79B9)),
+            constraint: TargetConstraint::sibling_groups(&sibling_groups),
+            objective,
+            epsilon,
+            first_child,
+            child_targets,
+        })
+    })
+}
+
+/// One level of the SHP-r split schedule: how every bucket of the previous level splits into
+/// children, and what the level's refinement optimizes.
+pub(crate) struct SplitLevel {
+    /// 0-based level index.
+    pub index: usize,
+    /// Number of buckets after the split.
+    pub num_buckets: u32,
+    /// `seed + index·0x9E37_79B9`: drives the hashed child pick and the level's move coins.
+    pub seed: u64,
+    /// Sibling groups of the buckets that split. A pass-through bucket (one child) is in no
+    /// group, so its vertices have no targets.
+    pub constraint: TargetConstraint,
+    /// The configured objective, aimed at the final p-fanout when `optimize_final_p_fanout`
+    /// is set: each child is still split into at most the largest child share.
+    pub objective: Objective,
+    /// `ε`, scaled by depth when `scale_epsilon_by_level` is set (Section 3.4).
+    pub epsilon: f64,
+    /// The children of previous-level bucket `b` are `first_child[b]..first_child[b + 1]`.
+    first_child: Vec<BucketId>,
+    /// Number of final buckets every child is responsible for.
+    child_targets: Vec<u32>,
+}
+
+impl SplitLevel {
+    /// Moves every vertex from its bucket of the previous level to one of that bucket's
+    /// children, picked by the per-vertex hash `unit_hash(seed, 0x5EED, v)` weighted by the
+    /// children's shares of final buckets.
+    pub fn split(&self, assignment: &[BucketId]) -> Vec<BucketId> {
+        assignment
+            .iter()
+            .enumerate()
+            .map(|(v, &old)| {
+                let children = self.first_child[old as usize]..self.first_child[old as usize + 1];
+                let shares = &self.child_targets[children.start as usize..children.end as usize];
+                if shares.len() == 1 {
+                    return children.start;
+                }
+                let total: u32 = shares.iter().sum();
+                let r = unit_hash(self.seed, 0x5EED, v as u64) * total as f64;
+                let mut acc = 0.0;
+                for (c, &share) in children.clone().zip(shares) {
+                    acc += share as f64;
+                    if r < acc {
+                        return c;
+                    }
+                }
+                children.end - 1
+            })
+            .collect()
+    }
 }
 
 /// Number of final buckets child `index` (0-based) receives when a group responsible for
@@ -252,6 +272,35 @@ mod tests {
         assert_eq!(total_levels(8, 2), 3);
         assert_eq!(total_levels(9, 2), 4);
         assert_eq!(total_levels(32, 4), 3);
+    }
+
+    #[test]
+    fn schedule_for_k5_splits_only_buckets_with_final_buckets_to_spare() {
+        let config = ShpConfig::recursive_bisection(5).with_seed(17);
+        let levels: Vec<SplitLevel> = split_schedule(&config, 2).collect();
+        let sizes: Vec<u32> = levels.iter().map(|level| level.num_buckets).collect();
+        assert_eq!(sizes, [2, 4, 5]);
+        for (l, level) in levels.iter().enumerate() {
+            assert_eq!(level.index, l);
+            assert_eq!(level.seed, 17 + l as u64 * 0x9E37_79B9);
+        }
+        // The last level splits bucket 0 (two final buckets) into 0 and 1; buckets 1, 2 and 3
+        // pass through as 2, 3 and 4, with no targets.
+        let last = &levels[2];
+        assert_eq!(
+            last.constraint,
+            TargetConstraint::sibling_groups(&[vec![0, 1]])
+        );
+        let TargetConstraint::Siblings { allowed } = &last.constraint else {
+            panic!("a recursion level is sibling-constrained");
+        };
+        for bucket in 2..5 {
+            assert!(
+                allowed.get(bucket).is_none_or(Vec::is_empty),
+                "bucket {bucket}"
+            );
+        }
+        assert_eq!(last.split(&[1, 2, 3]), [2, 3, 4]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! with per-gain-bin probabilities.
 
 use crate::gains::MoveProposal;
-use crate::histogram::{bin_index, GainHistogramSet, NUM_BINS};
+use crate::histogram::{bin_index, bin_representative, GainHistogramSet, NUM_BINS};
 use crate::pair_table::{PairLayout, PairTable};
 use shp_hypergraph::BucketId;
 
@@ -37,6 +37,25 @@ impl SwapMatrix {
         let mut counts = PairTable::new(layout);
         for p in improving() {
             *counts.entry(p.from, p.to) += 1;
+        }
+        SwapMatrix { counts }
+    }
+
+    /// Builds the swap matrix from gain histograms: `S_ij` counts the candidates in the
+    /// positive-gain bins of `(i, j)`, which are exactly the proposals
+    /// [`SwapMatrix::from_proposals`] counts. The BSP master derives its basic-scheme
+    /// probabilities this way from the workers' merged histograms.
+    pub fn from_histograms(set: &GainHistogramSet) -> Self {
+        let mut counts = PairTable::new(PairLayout::from_pairs(set.pairs()));
+        for (i, j) in set.pairs() {
+            let histogram = set.get(i, j).expect("a recorded pair has a histogram");
+            let positive: u64 = (0..NUM_BINS)
+                .filter(|&bin| bin_representative(bin) > 0.0)
+                .map(|bin| histogram.count(bin))
+                .sum();
+            if positive > 0 {
+                counts.insert(i, j, positive);
+            }
         }
         SwapMatrix { counts }
     }
@@ -109,9 +128,11 @@ impl MoveProbabilities {
     pub fn from_histograms(set: &GainHistogramSet) -> Self {
         MoveProbabilities::Histogram(set.match_bins())
     }
+}
 
-    /// An empty probability table (nothing is allowed to move).
-    pub fn none() -> Self {
+impl Default for MoveProbabilities {
+    /// An empty probability table: nothing is allowed to move.
+    fn default() -> Self {
         MoveProbabilities::Matrix(PairTable::new(PairLayout::default()))
     }
 }
@@ -119,6 +140,8 @@ impl MoveProbabilities {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_pcg::Pcg64;
 
     fn proposal(vertex: u32, from: u32, to: u32, gain: f64) -> MoveProposal {
         MoveProposal {
@@ -181,9 +204,48 @@ mod tests {
         assert!(probs.probability(&proposal(5, 0, 1, 0.5)) > 0.0);
     }
 
+    /// A gain drawn from every class the bins treat specially: positive, +0.0, −0.0,
+    /// negative, tiny (< 2⁻¹², the bins adjacent to zero) and huge (≥ 2¹¹, the extreme bins).
+    fn arbitrary_gain(rng: &mut Pcg64) -> f64 {
+        let magnitude = match rng.gen_range(0..4u32) {
+            0 => return if rng.gen_bool(0.5) { 0.0 } else { -0.0 },
+            1 => rng.gen_range(f64::MIN_POSITIVE..1.0) * (-12f64).exp2(),
+            2 => rng.gen_range(1.0..1e6) * 11f64.exp2(),
+            _ => rng.gen_range(f64::MIN_POSITIVE..8.0),
+        };
+        if rng.gen_bool(0.5) {
+            magnitude
+        } else {
+            -magnitude
+        }
+    }
+
+    #[test]
+    fn histogram_built_matrix_equals_proposal_built_matrix() {
+        let mut rng = Pcg64::seed_from_u64(0x5357);
+        for case in 0..300 {
+            let k = rng.gen_range(2..9u32);
+            let proposals: Vec<MoveProposal> = (0..rng.gen_range(0..80u32))
+                .map(|v| {
+                    let from = rng.gen_range(0..k);
+                    let to = (from + rng.gen_range(1..k)) % k;
+                    proposal(v, from, to, arbitrary_gain(&mut rng))
+                })
+                .collect();
+            let counted = SwapMatrix::from_proposals(&proposals);
+            let binned = SwapMatrix::from_histograms(&GainHistogramSet::from_proposals(&proposals));
+            assert_eq!(binned, counted, "case {case}: {proposals:?}");
+            assert_eq!(
+                binned.move_probabilities(),
+                counted.move_probabilities(),
+                "case {case}: {proposals:?}"
+            );
+        }
+    }
+
     #[test]
     fn unknown_pairs_have_zero_probability() {
-        let probs = MoveProbabilities::none();
+        let probs = MoveProbabilities::default();
         assert_eq!(probs.probability(&proposal(0, 3, 7, 10.0)), 0.0);
     }
 }

@@ -6,19 +6,14 @@
 //! The paper's argument for fanout as the sharding objective: a multi-get query issues its
 //! per-server requests in parallel, so its latency is the *maximum* of the individual request
 //! latencies; the more servers are contacted (the higher the fanout), the higher the chance of
-//! hitting a slow request ("the tail at scale"). The simulator models exactly that mechanism:
-//!
-//! * [`latency`] — a heavy-tailed per-request latency distribution normalized so that a single
-//!   request has mean latency `t`, plus percentile bookkeeping.
-//! * [`cluster`] — a cluster of key-value shards holding the data vertices of a bipartite
-//!   graph according to a [`shp_hypergraph::Partition`]; queries are replayed against it and
-//!   their fanout and latency recorded.
+//! hitting a slow request ("the tail at scale"). [`latency`] models exactly that mechanism: a
+//! heavy-tailed per-request latency distribution normalized so that a single request has mean
+//! latency `t`, plus percentile bookkeeping. `shp-serving`'s shards draw their service times
+//! from it, and Figure 4 is measured on that serving path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod latency;
 
-pub use cluster::{QueryObservation, ReplayReport, ShardedCluster};
 pub use latency::{LatencyModel, LatencySummary};

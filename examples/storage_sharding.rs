@@ -7,7 +7,19 @@
 use shp::baselines::full_registry;
 use shp::core::api::{NoopObserver, PartitionSpec};
 use shp::datagen::{social_graph, SocialGraphConfig};
-use shp::sharding_sim::{LatencyModel, ShardedCluster};
+use shp::hypergraph::{BipartiteGraph, Partition};
+use shp::serving::{EngineConfig, ServingEngine, ServingReport};
+
+/// Serves every query of `graph` once against `placement` and reports the latencies.
+fn serve_each_query_once(graph: &BipartiteGraph, placement: &Partition) -> ServingReport {
+    let engine = ServingEngine::new(placement, EngineConfig::default()).expect("k >= 1");
+    for q in graph.queries() {
+        engine
+            .multiget(graph.query_neighbors(q))
+            .expect("every key is placed");
+    }
+    engine.report()
+}
 
 fn main() {
     let servers = 40;
@@ -40,22 +52,21 @@ fn main() {
     println!("SHP sharding fanout   : {:.2}", shp.fanout);
     let (random, shp) = (random.partition, shp.partition);
 
-    // Replay the workload against simulated clusters and compare latency percentiles.
-    let model = LatencyModel::default();
-    let random_report = ShardedCluster::from_partition(&random, model.clone()).replay(&graph, 1, 7);
-    let shp_report = ShardedCluster::from_partition(&shp, model).replay(&graph, 1, 7);
+    // Serve the workload from both placements and compare latency percentiles.
+    let random_report = serve_each_query_once(&graph, &random);
+    let shp_report = serve_each_query_once(&graph, &shp);
 
     println!("\nlatency (in units of t, the mean single-request latency):");
     println!(
         "  random: mean {:.2}t  p50 {:.2}t  p99 {:.2}t",
-        random_report.overall.mean, random_report.overall.p50, random_report.overall.p99
+        random_report.mean_latency, random_report.p50, random_report.p99
     );
     println!(
         "  SHP   : mean {:.2}t  p50 {:.2}t  p99 {:.2}t",
-        shp_report.overall.mean, shp_report.overall.p50, shp_report.overall.p99
+        shp_report.mean_latency, shp_report.p50, shp_report.p99
     );
     println!(
         "  mean latency reduction: {:.0}%",
-        (1.0 - shp_report.overall.mean / random_report.overall.mean) * 100.0
+        (1.0 - shp_report.mean_latency / random_report.mean_latency) * 100.0
     );
 }

@@ -22,7 +22,8 @@
 //! * [`datagen`] — synthetic dataset generators and the Table-1 registry.
 //! * [`baselines`] — comparison partitioners (random, hash, greedy, label propagation,
 //!   multilevel FM), all behind the unified trait, plus the full workspace registry.
-//! * [`sharding_sim`] — the fanout-vs-latency storage sharding simulator.
+//! * [`sharding_sim`] — the per-request latency model behind the serving engine's simulated
+//!   service times (Figure 4).
 //! * [`serving`] — the online partition-aware multiget serving engine with live repartition
 //!   swap, warm-startable from any registry outcome.
 //! * [`controller`] — the closed serve→observe→repartition loop: bounded access-trace

@@ -7,7 +7,6 @@ use shp::core::{
 };
 use shp::datagen::{planted_partition, social_graph, Dataset, PlantedConfig, SocialGraphConfig};
 use shp::hypergraph::{average_fanout, average_p_fanout, io, GraphStats};
-use shp::sharding_sim::{LatencyModel, ShardedCluster};
 
 fn workload(users: usize, seed: u64) -> shp::hypergraph::BipartiteGraph {
     social_graph(&SocialGraphConfig {
@@ -112,16 +111,25 @@ fn sharding_pipeline_reduces_latency_versus_random() {
     .partition;
     let random = RandomPartitioner::new(11).partition_into(&graph, servers, 0.05);
 
-    let model = LatencyModel::default();
-    let shp_report = ShardedCluster::from_partition(&shp, model.clone()).replay(&graph, 1, 11);
-    let random_report = ShardedCluster::from_partition(&random, model).replay(&graph, 1, 11);
+    // Serve every query once from each placement.
+    let serve = |placement| {
+        let engine =
+            shp::serving::ServingEngine::new(placement, shp::serving::EngineConfig::default())
+                .unwrap();
+        for q in graph.queries() {
+            engine.multiget(graph.query_neighbors(q)).unwrap();
+        }
+        engine.report()
+    };
+    let shp_report = serve(&shp);
+    let random_report = serve(&random);
 
-    assert!(shp_report.average_fanout < random_report.average_fanout * 0.7);
+    assert!(shp_report.mean_fanout < random_report.mean_fanout * 0.7);
     assert!(
-        shp_report.overall.mean < random_report.overall.mean,
+        shp_report.mean_latency < random_report.mean_latency,
         "SHP mean latency {} should be below random {}",
-        shp_report.overall.mean,
-        random_report.overall.mean
+        shp_report.mean_latency,
+        random_report.mean_latency
     );
 }
 

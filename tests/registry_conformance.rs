@@ -23,15 +23,23 @@ proptest! {
     /// Contract checks for every registered algorithm on one random graph/spec draw:
     /// the outcome covers every data vertex exactly once with an in-range bucket, satisfies
     /// the `ε` capacity bound of the spec, and is identical across two runs with equal specs.
+    /// Half the draws ask for more buckets than there are data vertices: with `ε < 1` the
+    /// capacity is then one vertex per bucket, so `k − |D|` buckets stay empty.
     #[test]
     fn every_registered_algorithm_honors_the_unified_contract(
         edges in arb_hypergraph(24, 24),
-        k in 2u32..5,
+        small_k in 2u32..5,
+        beyond in 0u32..2,
+        excess in 1u32..40,
         epsilon in 0.0f64..0.3,
         seed in 0u64..1_000,
     ) {
         let graph = GraphBuilder::from_hyperedges(edges).unwrap();
-        prop_assume!(graph.num_data() >= k as usize);
+        let k = if beyond == 1 {
+            graph.num_data() as u32 + excess
+        } else {
+            small_k
+        };
         let registry = full_registry();
         let spec = PartitionSpec::new(k)
             .with_epsilon(epsilon)
@@ -61,6 +69,12 @@ proptest! {
                 "{} violates epsilon {}: weights {:?}",
                 &name, epsilon, p.bucket_weights()
             );
+            if k as usize > graph.num_data() {
+                prop_assert!(
+                    p.bucket_weights().iter().all(|&w| w <= 1),
+                    "{} put two vertices in one bucket with k > |D|", &name
+                );
+            }
             // Reported metrics match the partition they describe.
             prop_assert!((outcome.imbalance - p.imbalance()).abs() < 1e-12, "{}", &name);
             // Determinism: equal spec, equal partition.

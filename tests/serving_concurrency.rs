@@ -11,7 +11,7 @@ use shp::serving::{
     ServingError, ShardRouter, ShardSet,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const GROUPS: u32 = 8;
 const SIZE: u32 = 32;
@@ -71,17 +71,23 @@ fn epoch_swap_readers_never_observe_a_torn_or_regressing_generation() {
     let stop = AtomicBool::new(false);
     let loads = AtomicU64::new(0);
     const SWAPS: u64 = 400;
+    let readers = reader_threads();
+    // The swaps start only once every reader has loaded a generation, so they cannot all land
+    // before any reader runs.
+    let loaded = Barrier::new(readers + 1);
 
     std::thread::scope(|scope| {
         let swap_ref = &swap;
         let stop_ref = &stop;
         let loads_ref = &loads;
+        let loaded_ref = &loaded;
         let assignment_a = &assignment_a;
         let graph_ref = &graph;
-        for _ in 0..reader_threads() {
+        for _ in 0..readers {
             scope.spawn(move || {
                 let assignment_b: Vec<u32> = scattered(graph_ref).assignment().to_vec();
                 let mut last_epoch = 0u64;
+                let mut waited = false;
                 while !stop_ref.load(Ordering::Relaxed) {
                     let snapshot = swap_ref.load();
                     // Purity: the whole assignment equals A's or B's, never a blend.
@@ -99,10 +105,15 @@ fn epoch_swap_readers_never_observe_a_torn_or_regressing_generation() {
                     );
                     last_epoch = snapshot.epoch();
                     loads_ref.fetch_add(1, Ordering::Relaxed);
+                    if !waited {
+                        loaded_ref.wait();
+                        waited = true;
+                    }
                 }
             });
         }
         let graph = &graph;
+        loaded.wait();
         for epoch in 1..=SWAPS {
             let partition = if epoch % 2 == 1 {
                 scattered(graph)
@@ -132,15 +143,20 @@ fn multigets_survive_live_swaps_without_drops_or_torn_routing() {
     const SWAPS: u64 = 120;
     let readers = reader_threads();
     let done_swapping = AtomicBool::new(false);
+    // The readers start only once the first install is live, so each is served at epoch ≥ 1
+    // however the threads are scheduled; the writer keeps swapping under their load.
+    let installed = Barrier::new(readers + 1);
 
     std::thread::scope(|scope| {
         let engine_ref = &engine;
         let graph_ref = &graph;
         let done_ref = &done_swapping;
+        let installed_ref = &installed;
 
         let clients: Vec<_> = (0..readers)
             .map(|reader| {
                 scope.spawn(move || {
+                    installed_ref.wait();
                     for i in 0..QUERIES_PER_READER {
                         // Each multiget requests one full community (plus duplicates).
                         let group = ((reader as u64 + i) % GROUPS as u64) as u32;
@@ -177,6 +193,9 @@ fn multigets_survive_live_swaps_without_drops_or_torn_routing() {
                     aligned(graph_ref)
                 };
                 engine_ref.install_partition(&next).unwrap();
+                if i == 0 {
+                    installed_ref.wait();
+                }
                 std::thread::yield_now();
             }
             done_ref.store(true, Ordering::Relaxed);
@@ -301,13 +320,17 @@ fn delta_installs_race_concurrent_readers_without_torn_reads() {
     const QUERIES_PER_READER: u64 = 300;
     const DELTAS: u64 = 120;
     let readers = reader_threads();
+    // The readers start only once the first delta is live (see the full-install test above).
+    let installed = Barrier::new(readers + 1);
 
     std::thread::scope(|scope| {
         let engine_ref = &engine;
         let graph_ref = &graph;
+        let installed_ref = &installed;
         let clients: Vec<_> = (0..readers)
             .map(|reader| {
                 scope.spawn(move || {
+                    installed_ref.wait();
                     let mut last_epoch = 0u64;
                     for i in 0..QUERIES_PER_READER {
                         let group = ((reader as u64 + i) % GROUPS as u64) as u32;
@@ -350,6 +373,9 @@ fn delta_installs_race_concurrent_readers_without_torn_reads() {
                 // Alternating full-disagreement placements: all but SIZE keys move each time.
                 assert_eq!(delta.len(), ((GROUPS - 1) * SIZE) as usize);
                 engine_ref.install_delta(&delta).unwrap();
+                if i == 0 {
+                    installed_ref.wait();
+                }
                 std::thread::yield_now();
             }
         });
