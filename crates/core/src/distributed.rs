@@ -32,7 +32,7 @@
 //! quality band.
 
 use crate::config::{PartitionMode, ShpConfig, SwapStrategy};
-use crate::error::ShpResult;
+use crate::error::{ShpError, ShpResult};
 use crate::gains::{MoveProposal, TargetConstraint};
 use crate::histogram::GainHistogramSet;
 use crate::objective::Objective;
@@ -47,6 +47,7 @@ use shp_hypergraph::{average_fanout, average_p_fanout, BipartiteGraph, BucketId,
 use shp_vertex_centric::{
     Context, Engine, EngineConfig, ExecutionMetrics, MasterOutcome, TopologyBuilder, VertexProgram,
 };
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-iteration statistics reported by the distributed master.
@@ -93,16 +94,22 @@ enum ShpValue {
 enum ShpMessage {
     /// Data → query: the sender's current bucket.
     Bucket(BucketId),
-    /// Query → data: the query's non-zero neighbor data.
-    NeighborData(Vec<(BucketId, u32)>),
+    /// Query → data: the query's non-zero neighbor data `n_i(q)`, as (bucket, count) pairs in
+    /// ascending bucket order. A query builds it once per iteration and every adjacent data
+    /// vertex receives a reference to that one immutable payload, so sending it costs no copy
+    /// per pin; [`VertexProgram::message_size`] still charges 8 bytes per entry per copy, the
+    /// wire size of Section 3.3's accounting.
+    NeighborData(Arc<[(BucketId, u32)]>),
 }
 
 /// Per-superstep aggregate collected by the master.
 ///
-/// A vertex contributes at most one `proposal`; proposals are folded into the `histograms`
-/// table by [`VertexProgram::merge_aggregates`] as the per-worker accumulator absorbs them, so
-/// the per-vertex contribution stays O(1) (no per-vertex table allocation) while each worker
-/// builds exactly one histogram set per superstep, laid out by the program's constraint.
+/// A vertex contributes at most one `proposal`. [`VertexProgram::merge_aggregates`] folds it,
+/// in place, into the `histograms` of its worker's accumulator, so a contribution allocates no
+/// table and each worker builds exactly one histogram set per superstep. That set is laid out
+/// by the program's constraint ([`TargetConstraint::pair_layout`]): under SHP-2's sibling
+/// constraint it holds one slot per sibling pair, under `All` the k² pair index. The master
+/// merges the workers' sets, which share that layout, in worker-index order.
 #[derive(Debug, Clone, Default)]
 struct ShpAggregate {
     histograms: GainHistogramSet,
@@ -171,7 +178,7 @@ impl VertexProgram for ShpProgram {
                 2 => {
                     // Superstep 3: compute move gains from the received neighbor data. The
                     // contribution carries the bare proposal; the per-worker accumulator folds
-                    // it into its dense histogram table (see `merge_aggregates`).
+                    // it into its histogram set (see `merge_aggregates`).
                     *proposal = compute_distributed_proposal(self, *bucket, messages);
                     if let Some((to, gain)) = *proposal {
                         ctx.aggregate(ShpAggregate {
@@ -225,32 +232,31 @@ impl VertexProgram for ShpProgram {
                             fanout_sum: counts.len() as u64,
                             ..Default::default()
                         });
-                        ctx.send_to_neighbors(ShpMessage::NeighborData(counts));
+                        ctx.send_to_neighbors(ShpMessage::NeighborData(counts.into()));
                     }
                 }
             }
         }
     }
 
-    fn merge_aggregates(&self, mut a: ShpAggregate, b: ShpAggregate) -> ShpAggregate {
+    fn merge_aggregates(&self, into: &mut ShpAggregate, other: ShpAggregate) {
         // An empty set may be a default without a layout; every non-empty set is laid out by
         // `pair_layout`, so two non-empty sets merge in place.
-        if a.histograms.num_pairs() == 0 {
-            a.histograms = b.histograms;
+        if into.histograms.num_pairs() == 0 {
+            into.histograms = other.histograms;
         } else {
-            a.histograms.merge(&b.histograms);
+            into.histograms.merge(&other.histograms);
         }
         // Fold pending single-proposal contributions into the accumulator's table; histogram
         // bins are commutative counters, so any merge association yields the same set.
-        for p in [b.proposal, a.proposal.take()].into_iter().flatten() {
-            if a.histograms.num_pairs() == 0 {
-                a.histograms = GainHistogramSet::with_layout(self.pair_layout.clone());
+        for p in [other.proposal, into.proposal.take()].into_iter().flatten() {
+            if into.histograms.num_pairs() == 0 {
+                into.histograms = GainHistogramSet::with_layout(self.pair_layout.clone());
             }
-            a.histograms.record(&p);
+            into.histograms.record(&p);
         }
-        a.moved += b.moved;
-        a.fanout_sum += b.fanout_sum;
-        a
+        into.moved += other.moved;
+        into.fanout_sum += other.fanout_sum;
     }
 
     fn master_compute(
@@ -348,7 +354,7 @@ fn compute_distributed_proposal(
     };
     let allowed = program.allowed_targets(from);
     for message in messages {
-        let counts = match message {
+        let counts: &[(BucketId, u32)] = match message {
             ShpMessage::NeighborData(counts) => counts,
             ShpMessage::Bucket(_) => continue,
         };
@@ -414,14 +420,19 @@ fn compute_distributed_proposal(
 /// per split level.
 ///
 /// # Errors
-/// Returns [`ShpError::InvalidConfig`](crate::ShpError::InvalidConfig) when the configuration
-/// is invalid.
+/// Returns [`ShpError::InvalidConfig`] when the configuration is invalid or `num_workers` is
+/// zero.
 pub fn partition_distributed(
     graph: &BipartiteGraph,
     config: &ShpConfig,
     num_workers: usize,
 ) -> ShpResult<DistributedRunResult> {
     config.validate()?;
+    if num_workers == 0 {
+        return Err(ShpError::InvalidConfig(
+            "the BSP engine needs at least one worker".into(),
+        ));
+    }
     let start = Instant::now();
     let mut metrics = ExecutionMetrics::new(num_workers);
     let mut history = Vec::new();
@@ -584,15 +595,43 @@ mod tests {
         assert!(result.final_fanout < 4.0);
     }
 
+    /// The counters of a run that must not depend on the worker count: all but the remote
+    /// counters, the busiest worker's load and the durations.
+    fn worker_independent_counters(metrics: &ExecutionMetrics) -> (u64, u64, u64, Vec<usize>) {
+        (
+            metrics.total_messages(),
+            metrics.total_bytes(),
+            metrics.supersteps.iter().map(|s| s.combined_messages).sum(),
+            metrics
+                .supersteps
+                .iter()
+                .map(|s| s.active_vertices)
+                .collect(),
+        )
+    }
+
     #[test]
     fn distributed_results_do_not_depend_on_worker_count() {
         let graph = community_graph(4, 6);
-        let config = ShpConfig::direct(4).with_seed(9).with_max_iterations(8);
-        let one = partition_distributed(&graph, &config, 1).unwrap();
-        let four = partition_distributed(&graph, &config, 4).unwrap();
-        let eight = partition_distributed(&graph, &config, 8).unwrap();
-        assert_eq!(one.partition.assignment(), four.partition.assignment());
-        assert_eq!(four.partition.assignment(), eight.partition.assignment());
+        let direct = ShpConfig::direct(4).with_seed(9).with_max_iterations(8);
+        let recursive = ShpConfig::recursive_bisection(4)
+            .with_seed(9)
+            .with_max_iterations(8);
+        for config in [direct, recursive] {
+            let one = partition_distributed(&graph, &config, 1).unwrap();
+            let four = partition_distributed(&graph, &config, 4).unwrap();
+            let eight = partition_distributed(&graph, &config, 8).unwrap();
+            assert_eq!(one.partition.assignment(), four.partition.assignment());
+            assert_eq!(four.partition.assignment(), eight.partition.assignment());
+            // Messages, bytes, combined messages, supersteps and active vertices per
+            // superstep (the vector's length is the superstep count) are equal too.
+            let counters = worker_independent_counters(&one.metrics);
+            assert!(counters.0 > 0 && counters.3.len() > 4);
+            assert_eq!(counters, worker_independent_counters(&four.metrics));
+            assert_eq!(counters, worker_independent_counters(&eight.metrics));
+            assert_eq!(one.metrics.total_remote_messages(), 0);
+            assert!(four.metrics.total_remote_messages() > 0);
+        }
     }
 
     #[test]
@@ -665,5 +704,16 @@ mod tests {
     fn invalid_config_is_rejected() {
         let graph = community_graph(2, 4);
         assert!(partition_distributed(&graph, &ShpConfig::direct(0), 2).is_err());
+    }
+
+    #[test]
+    fn zero_workers_is_a_typed_error() {
+        let graph = community_graph(2, 4);
+        for config in [ShpConfig::direct(2), ShpConfig::recursive_bisection(2)] {
+            match partition_distributed(&graph, &config, 0) {
+                Err(ShpError::InvalidConfig(message)) => assert!(message.contains("worker")),
+                other => panic!("expected InvalidConfig, got {other:?}"),
+            }
+        }
     }
 }

@@ -55,19 +55,20 @@ impl<'a, P: VertexProgram + ?Sized> Context<'a, P> {
         self.outbox.push(to, message, size);
     }
 
-    /// Sends a copy of `message` to every out-neighbor of the current vertex.
+    /// Sends a copy of `message` to every out-neighbor of the current vertex. Each copy is a
+    /// `clone` of `message` and is charged [`crate::VertexProgram::message_size`] bytes, so a
+    /// message that shares its payload (an `Arc`) is sent without copying the payload.
     pub fn send_to_neighbors(&mut self, message: P::Message) {
+        let size = self.program.message_size(&message);
         for &n in self.topology.neighbors(self.vertex) {
-            let size = self.program.message_size(&message);
             self.outbox.push(n, message.clone(), size);
         }
     }
 
-    /// Contributes a value to this superstep's aggregate (merged with
-    /// [`crate::VertexProgram::merge_aggregates`]).
+    /// Contributes a value to this superstep's aggregate: it is merged into the worker's
+    /// accumulator in place with [`crate::VertexProgram::merge_aggregates`].
     pub fn aggregate(&mut self, contribution: P::Aggregate) {
-        let current = std::mem::take(self.aggregate);
-        *self.aggregate = self.program.merge_aggregates(current, contribution);
+        self.program.merge_aggregates(self.aggregate, contribution);
     }
 
     /// Votes to halt: the vertex will not be computed in later supersteps unless it receives a

@@ -3,7 +3,7 @@
 use crate::context::Context;
 use crate::metrics::{ExecutionMetrics, SuperstepMetrics};
 use crate::program::{MasterOutcome, VertexProgram};
-use crate::routing::{group_by_vertex, route, WorkerOutbox};
+use crate::routing::{group_inbox, route, WorkerOutbox};
 use crate::topology::Topology;
 use std::time::Instant;
 
@@ -83,7 +83,7 @@ struct WorkerStepResult<M, A> {
 ///             ctx.vote_to_halt();
 ///         }
 ///     }
-///     fn merge_aggregates(&self, a: u64, b: u64) -> u64 { a + b }
+///     fn merge_aggregates(&self, into: &mut u64, other: u64) { *into += other }
 ///     fn master_compute(&self, step: usize, _agg: u64, _g: &()) -> MasterOutcome<()> {
 ///         if step >= 1 { MasterOutcome::Halt } else { MasterOutcome::Continue(()) }
 ///     }
@@ -216,14 +216,14 @@ impl<P: VertexProgram> Engine<P> {
         let results: Vec<WorkerStepResult<P::Message, P::Aggregate>> =
             rayon::pool::map_vec(work, num_workers, |worker_idx, (state, inbox)| {
                 let local_count = state.values.len();
-                let (messages, combined) =
-                    group_by_vertex(inbox, num_workers, local_count, |a, b| {
-                        program.combine(a, b)
-                    });
+                let inbox = group_inbox(inbox, num_workers, local_count, |a, b| {
+                    program.combine(a, b)
+                });
                 let mut outbox = WorkerOutbox::new(worker_idx, num_workers);
                 let mut aggregate = P::Aggregate::default();
                 let mut active = 0usize;
-                for (local, incoming) in messages.iter().enumerate() {
+                for local in 0..local_count {
+                    let incoming = inbox.messages(local);
                     if state.halted[local] && incoming.is_empty() {
                         continue;
                     }
@@ -250,7 +250,7 @@ impl<P: VertexProgram> Engine<P> {
                     outbox,
                     aggregate,
                     active,
-                    combined,
+                    combined: inbox.combined(),
                 }
             });
 
@@ -269,7 +269,7 @@ impl<P: VertexProgram> Engine<P> {
             step_metrics.bytes_sent += result.outbox.bytes;
             step_metrics.remote_bytes += result.outbox.remote_bytes;
             step_metrics.combined_messages += result.combined;
-            merged = self.program.merge_aggregates(merged, result.aggregate);
+            self.program.merge_aggregates(&mut merged, result.aggregate);
             outboxes.push(result.outbox);
         }
 
@@ -336,8 +336,8 @@ mod tests {
             Some(*a.min(b))
         }
 
-        fn merge_aggregates(&self, a: u64, b: u64) -> u64 {
-            a + b
+        fn merge_aggregates(&self, into: &mut u64, other: u64) {
+            *into += other;
         }
 
         fn master_compute(&self, _s: usize, _agg: u64, _g: &()) -> MasterOutcome<()> {
@@ -445,8 +445,8 @@ mod tests {
             ctx.aggregate(1);
         }
 
-        fn merge_aggregates(&self, a: usize, b: usize) -> usize {
-            a + b
+        fn merge_aggregates(&self, into: &mut usize, other: usize) {
+            *into += other;
         }
 
         fn master_compute(&self, superstep: usize, agg: usize, _g: &usize) -> MasterOutcome<usize> {

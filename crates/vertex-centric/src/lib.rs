@@ -22,6 +22,28 @@
 //!   traffic, so the communication-complexity claims of Section 3.3 of the paper can be
 //!   checked quantitatively even though no real network is involved.
 //!
+//! ## The message plane
+//!
+//! Per superstep the engine allocates a few buffers per worker, not one per vertex or per
+//! message:
+//!
+//! * **Sending.** [`Context::send_to_neighbors`] pushes one `clone` of the message per
+//!   out-neighbor into the worker's outbox, which keeps one buffer per destination worker. A
+//!   program whose message shares its payload behind an `Arc` (as SHP's neighbor data does)
+//!   sends it without copying the payload; the byte counters still charge
+//!   [`VertexProgram::message_size`] per copy.
+//! * **Grouping.** At the barrier [`routing::route`] concatenates the outboxes into one inbox
+//!   per worker, in sender-worker order. Each worker then groups its inbox with
+//!   [`routing::group_inbox`]: one counting sort over the worker-local vertex index into a flat
+//!   message array plus offsets, stable within each vertex, with the program's
+//!   [`VertexProgram::combine`] folded over each vertex's run in arrival order. A vertex's
+//!   `compute` sees its run as a slice of that array.
+//! * **Aggregating.** Each worker keeps one accumulator per superstep.
+//!   [`Context::aggregate`] merges a contribution into it in place
+//!   ([`VertexProgram::merge_aggregates`] takes `&mut` accumulator and the contribution by
+//!   value), and the master merges the workers' accumulators the same way, in worker-index
+//!   order.
+//!
 //! The engine is deliberately independent of the partitioner: the unit tests run classical
 //! vertex-centric algorithms (connected components, degree counting) on it, and
 //! `shp-core::distributed` builds the four-superstep SHP iteration (Figure 3 of the paper)

@@ -49,8 +49,11 @@ pub trait VertexProgram: Sync {
         None
     }
 
-    /// Merges two partial aggregates. Must be associative and commutative.
-    fn merge_aggregates(&self, a: Self::Aggregate, b: Self::Aggregate) -> Self::Aggregate;
+    /// Merges the partial aggregate `other` into `into`. Must be associative and commutative.
+    ///
+    /// The engine folds each vertex's contribution into its worker's accumulator in place, and
+    /// the workers' accumulators into the master's in worker-index order.
+    fn merge_aggregates(&self, into: &mut Self::Aggregate, other: Self::Aggregate);
 
     /// Master compute hook, run after every superstep with the merged aggregate. Returns the
     /// global value for the next superstep or halts the computation.

@@ -1,4 +1,4 @@
-//! Message buffers and routing between simulated workers.
+//! Message buffers, routing between simulated workers, and per-worker inbox grouping.
 
 /// Outgoing message buffers of one worker during one superstep, bucketed by destination worker.
 ///
@@ -75,40 +75,116 @@ pub fn route<M>(outboxes: Vec<WorkerOutbox<M>>) -> Vec<Vec<(u32, M)>> {
     inboxes
 }
 
+/// One worker's inbox grouped by destination vertex: a flat message array plus offsets.
+///
+/// The messages of the worker-local vertex `local` (vertex `local * num_workers + worker`) are
+/// `messages[offsets[local]..offsets[local + 1]]`, in arrival order after combining. Built by
+/// [`group_inbox`]; the grouping allocates a fixed number of buffers per worker, however many
+/// vertices and messages the inbox holds.
+#[derive(Debug)]
+pub struct GroupedInbox<M> {
+    messages: Vec<M>,
+    offsets: Vec<usize>,
+    combined: u64,
+}
+
+impl<M> GroupedInbox<M> {
+    /// The messages delivered to the worker-local vertex `local`.
+    ///
+    /// # Panics
+    /// Panics if `local` is not below the local vertex count the inbox was grouped for.
+    pub fn messages(&self, local: usize) -> &[M] {
+        &self.messages[self.offsets[local]..self.offsets[local + 1]]
+    }
+
+    /// Number of messages eliminated by combining.
+    pub fn combined(&self) -> u64 {
+        self.combined
+    }
+}
+
 /// Groups an inbox by destination vertex, applying an optional combiner.
 ///
-/// Returns a vector indexed by the worker-local vertex index (`vertex / num_workers`), where
-/// each entry lists the messages for that vertex. The second return value is the number of
-/// messages eliminated by combining.
-pub fn group_by_vertex<M, F>(
-    inbox: Vec<(u32, M)>,
+/// One counting sort over the worker-local vertex index (`vertex / num_workers`) orders the
+/// inbox by destination, keeping arrival order within each vertex; `combiner` is then folded
+/// over each vertex's run in that order, merging a message into the vertex's last kept one
+/// whenever it returns `Some`.
+///
+/// # Panics
+/// Panics if a destination's local index is not below `local_vertex_count`, or if the inbox
+/// holds `u32::MAX` messages or more.
+pub fn group_inbox<M, F>(
+    mut inbox: Vec<(u32, M)>,
     num_workers: usize,
     local_vertex_count: usize,
     combiner: F,
-) -> (Vec<Vec<M>>, u64)
+) -> GroupedInbox<M>
 where
     F: Fn(&M, &M) -> Option<M>,
 {
-    let mut grouped: Vec<Vec<M>> = (0..local_vertex_count).map(|_| Vec::new()).collect();
+    assert!(
+        inbox.len() < u32::MAX as usize,
+        "an inbox holds fewer than u32::MAX messages"
+    );
+    let local = |vertex: u32| vertex as usize / num_workers;
+    // `starts[i]` is where vertex i's run begins in the sorted order.
+    let mut starts = vec![0usize; local_vertex_count + 1];
+    for &(vertex, _) in &inbox {
+        starts[local(vertex) + 1] += 1;
+    }
+    for i in 1..starts.len() {
+        starts[i] += starts[i - 1];
+    }
+    // Each message's sorted position, then the permutation applied in place by cycles.
+    let mut cursor = starts.clone();
+    let mut position: Vec<u32> = inbox
+        .iter()
+        .map(|&(vertex, _)| {
+            let slot = &mut cursor[local(vertex)];
+            *slot += 1;
+            (*slot - 1) as u32
+        })
+        .collect();
+    for i in 0..inbox.len() {
+        while position[i] as usize != i {
+            let j = position[i] as usize;
+            inbox.swap(i, j);
+            position.swap(i, j);
+        }
+    }
+    drop(position);
+
+    let mut messages = Vec::with_capacity(inbox.len());
+    let mut offsets = Vec::with_capacity(starts.len());
+    offsets.push(0);
     let mut combined = 0u64;
-    for (vertex, message) in inbox {
-        let local = vertex as usize / num_workers;
-        let slot = &mut grouped[local];
-        if let Some(last) = slot.last() {
-            if let Some(merged) = combiner(last, &message) {
-                *slot.last_mut().expect("slot non-empty") = merged;
+    let mut sorted = inbox.into_iter().map(|(_, message)| message);
+    for run in starts.windows(2) {
+        let first = messages.len();
+        for message in sorted.by_ref().take(run[1] - run[0]) {
+            if let Some(merged) = messages[first..]
+                .last()
+                .and_then(|last| combiner(last, &message))
+            {
+                *messages.last_mut().expect("the run is non-empty") = merged;
                 combined += 1;
-                continue;
+            } else {
+                messages.push(message);
             }
         }
-        slot.push(message);
+        offsets.push(messages.len());
     }
-    (grouped, combined)
+    GroupedInbox {
+        messages,
+        offsets,
+        combined,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn outbox_classifies_local_and_remote() {
@@ -138,23 +214,91 @@ mod tests {
         assert_eq!(inboxes[1], vec![(1, "from0"), (1, "from1")]);
     }
 
+    /// The grouped messages of every local vertex, in local-index order.
+    fn runs<M: Clone>(grouped: &GroupedInbox<M>, local_count: usize) -> Vec<Vec<M>> {
+        (0..local_count)
+            .map(|local| grouped.messages(local).to_vec())
+            .collect()
+    }
+
     #[test]
-    fn group_by_vertex_without_combiner() {
+    fn group_inbox_without_combiner() {
         let inbox = vec![(0u32, 1u32), (2, 2), (0, 3)];
         // 2 workers; this is worker 0 owning vertices 0 and 2 (local indices 0 and 1).
-        let (grouped, combined) = group_by_vertex(inbox, 2, 2, |_, _| None);
+        let inbox = group_inbox(inbox, 2, 2, |_, _| None);
+        let (grouped, combined) = (runs(&inbox, 2), inbox.combined());
         assert_eq!(grouped[0], vec![1, 3]);
         assert_eq!(grouped[1], vec![2]);
         assert_eq!(combined, 0);
     }
 
     #[test]
-    fn group_by_vertex_with_summing_combiner() {
+    fn group_inbox_with_summing_combiner() {
         let inbox = vec![(0u32, 1u32), (0, 2), (0, 3), (2, 10)];
-        let (grouped, combined) = group_by_vertex(inbox, 2, 2, |a, b| Some(a + b));
+        let inbox = group_inbox(inbox, 2, 2, |a, b| Some(a + b));
+        let (grouped, combined) = (runs(&inbox, 2), inbox.combined());
         assert_eq!(grouped[0], vec![6]);
         assert_eq!(grouped[1], vec![10]);
         assert_eq!(combined, 2);
+    }
+
+    /// The per-vertex grouping the flat one replaced: one `Vec` per local vertex, each message
+    /// combined into its vertex's last kept message or appended, in arrival order.
+    fn reference_grouping<M, F>(
+        inbox: Vec<(u32, M)>,
+        num_workers: usize,
+        local_count: usize,
+        combiner: F,
+    ) -> (Vec<Vec<M>>, u64)
+    where
+        F: Fn(&M, &M) -> Option<M>,
+    {
+        let mut grouped: Vec<Vec<M>> = (0..local_count).map(|_| Vec::new()).collect();
+        let mut combined = 0u64;
+        for (vertex, message) in inbox {
+            let slot = &mut grouped[vertex as usize / num_workers];
+            if let Some(merged) = slot.last().and_then(|last| combiner(last, &message)) {
+                *slot.last_mut().expect("slot non-empty") = merged;
+                combined += 1;
+            } else {
+                slot.push(message);
+            }
+        }
+        (grouped, combined)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random inboxes of one worker among 1–5 — vertices with no messages, destinations
+        /// repeated in any order — grouped flat and by the per-vertex reference, with a
+        /// combiner that merges pairs of equal parity and refuses the rest.
+        #[test]
+        fn flat_grouping_matches_the_per_vertex_reference(
+            num_workers in 1usize..6,
+            worker in 0usize..5,
+            local_count in 1usize..12,
+            draws in prop::collection::vec((0usize..64, 0u64..100), 0..80),
+        ) {
+            let worker = worker % num_workers;
+            let inbox: Vec<(u32, u64)> = draws
+                .iter()
+                .map(|&(dest, message)| {
+                    (((dest % local_count) * num_workers + worker) as u32, message)
+                })
+                .collect();
+            let parity = |a: &u64, b: &u64| ((a ^ b) & 1 == 0).then_some(a + b);
+            let (expected, expected_combined) =
+                reference_grouping(inbox.clone(), num_workers, local_count, parity);
+            let grouped = group_inbox(inbox.clone(), num_workers, local_count, parity);
+            prop_assert_eq!(runs(&grouped, local_count), expected);
+            prop_assert_eq!(grouped.combined(), expected_combined);
+
+            let (expected, _) = reference_grouping(inbox.clone(), num_workers, local_count, |_, _| None);
+            let grouped = group_inbox(inbox, num_workers, local_count, |_, _| None);
+            prop_assert_eq!(runs(&grouped, local_count), expected);
+            prop_assert_eq!(grouped.combined(), 0);
+        }
     }
 
     #[test]
