@@ -1,16 +1,16 @@
 //! Micro-benchmark: move-gain computation for all data vertices (the core of superstep 3).
 //! Backs the O(k·|E|) computational-complexity claim of Section 3.3 — and records the dense
-//! scratch kernel against the legacy hash-map kernel at k = 64 on the power-law graph into
-//! `BENCH_refinement.json` (ops/s, ns/vertex, allocation proxy), asserting bit-identical
-//! proposal lists first.
+//! scratch kernel against the hash-map kernel of `shp_bench::oracles::gains` (the `legacy`
+//! rows) at k = 64 on the power-law graph into `BENCH_refinement.json` (ops/s, ns/vertex,
+//! allocation proxy), asserting bit-identical proposal lists first.
 
 mod support;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_pcg::Pcg64;
-use shp_bench::bench_json;
-use shp_core::{gains, GainKernel, NeighborData, Objective, TargetConstraint};
+use shp_bench::{bench_json, oracles};
+use shp_core::{gains, MoveProposal, NeighborData, Objective, TargetConstraint};
 use shp_datagen::{social_graph, SocialGraphConfig};
 use shp_hypergraph::Partition;
 
@@ -55,7 +55,7 @@ fn bench_gain_computation(c: &mut Criterion) {
 }
 
 /// The trajectory section: the raw gain sweep at k = 64 on the power-law graph, single worker,
-/// scratch kernel vs legacy hash-map kernel.
+/// scratch kernel vs the hash-map kernel oracle.
 fn hot_path_trajectory() {
     const K: u32 = 64;
     let graph = support::bench_power_law();
@@ -66,44 +66,37 @@ fn hot_path_trajectory() {
     let objective = Objective::PFanout { p: 0.5 };
     let constraint = TargetConstraint::all(K);
 
-    let sweep = |kernel: GainKernel| {
-        gains::compute_proposals_with_kernel(
-            &objective,
-            &graph,
-            &partition,
-            &nd,
-            &constraint,
-            true,
-            1,
-            kernel,
-        )
+    let scratch_sweep =
+        || gains::compute_proposals(&objective, &graph, &partition, &nd, &constraint, true, 1);
+    let legacy_sweep = || {
+        oracles::gains::compute_proposals(&objective, &graph, &partition, &nd, &constraint, true)
     };
 
     // Correctness gate for the CI smoke job: bit-identical proposals, including gain bits.
-    let scratch_proposals = sweep(GainKernel::Scratch);
-    let legacy_proposals = sweep(GainKernel::LegacyHashMap);
+    let scratch_proposals = scratch_sweep();
+    let legacy_proposals = legacy_sweep();
     assert_eq!(scratch_proposals.len(), legacy_proposals.len());
     for (s, l) in scratch_proposals.iter().zip(legacy_proposals.iter()) {
         assert_eq!(
-            (s.vertex, s.from, s.to, s.gain.to_bits()),
-            (l.vertex, l.from, l.to, l.gain.to_bits()),
-            "scratch kernel diverged from legacy kernel at vertex {}",
+            oracles::gains::proposal_bits(s),
+            oracles::gains::proposal_bits(l),
+            "scratch kernel diverged from the hash-map kernel at vertex {}",
             s.vertex
         );
     }
 
     let rounds = support::rounds();
-    let measure_kernel = |kernel: GainKernel| {
+    let time = |sweep: &dyn Fn() -> Vec<MoveProposal>| {
         support::measure(
             rounds,
             || (),
             |()| {
-                let _ = sweep(kernel);
+                let _ = sweep();
             },
         )
     };
-    let scratch = measure_kernel(GainKernel::Scratch);
-    let legacy = measure_kernel(GainKernel::LegacyHashMap);
+    let scratch = time(&scratch_sweep);
+    let legacy = time(&legacy_sweep);
     let speedup = legacy.secs_per_op / scratch.secs_per_op;
     println!(
         "gain_computation/power_law_k64_w1: scratch {:.2} ms vs legacy {:.2} ms ({speedup:.2}x, \

@@ -3,8 +3,8 @@
 //!
 //! On a ~1M-pin power-law bipartite graph (the Table-1-style workload shape) this measures:
 //!
-//! * the **legacy oracle** text path (per-line `String`s + `str::parse` + the
-//!   `BuildKernel::Legacy` per-query-`Vec` CSR build);
+//! * the **legacy oracle** text path of `shp_bench::oracles::ingest` (per-line `String`s +
+//!   `str::parse` + the per-query-`Vec` CSR build);
 //! * the **zero-copy** text path at `workers = 1` and `workers = 4` (in-place byte scanning,
 //!   hand-rolled decimal parser, flat-arena builder, counting-sort CSR);
 //! * the **`.shpb` compact binary** path (checksummed container holding the CSR verbatim);
@@ -20,7 +20,7 @@
 
 mod support;
 
-use shp_bench::bench_json;
+use shp_bench::{bench_json, oracles};
 use shp_datagen::{power_law_bipartite, PowerLawConfig};
 use shp_hypergraph::{io, BipartiteGraph};
 use std::io::Write as _;
@@ -76,7 +76,7 @@ fn main() {
     io::write_shpb(&graph, &mut binary).unwrap();
 
     // ---- Correctness gates (CI smoke relies on these panicking on regression) ----------
-    let oracle = io::read_edge_list_legacy(&text[..]).expect("legacy parse");
+    let oracle = oracles::ingest::read_edge_list(&text[..]).expect("legacy parse");
     for workers in [1usize, 2, 4, 8] {
         let parsed = io::parse_edge_list_bytes(&text, workers).expect("zero-copy parse");
         assert_eq!(
@@ -109,7 +109,7 @@ fn main() {
         rounds,
         || (),
         |()| {
-            io::read_edge_list_legacy(&text[..]).unwrap();
+            oracles::ingest::read_edge_list(&text[..]).unwrap();
         },
     );
     let read_new_w1 = support::measure(

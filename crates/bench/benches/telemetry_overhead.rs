@@ -5,9 +5,10 @@
 //!
 //! * the raw `shp-telemetry` primitives — sharded [`Counter`] increment, log-linear
 //!   [`Histogram`] record, and bounded [`TopKSketch`] record;
-//! * [`ServingMetrics::record`] (the lock-free rebuild) vs [`LegacyServingMetrics::record`]
-//!   (the retained `Mutex<Vec>` oracle), single-threaded and with four threads contending —
-//!   the contended case is where the old mutex serialized every serving client.
+//! * [`ServingMetrics::record`] (the lock-free rebuild) vs
+//!   [`ReferenceServingMetrics::record`] (the `Mutex<Vec>` oracle of
+//!   `shp_bench::oracles::metrics`, the `legacy` rows), single-threaded and with four threads
+//!   contending — the contended case is where the old mutex serialized every serving client.
 //!
 //! Before anything is timed, both implementations ingest the identical stream and their
 //! reports are asserted to agree: exact fields equal, latency percentiles within the
@@ -21,7 +22,8 @@
 mod support;
 
 use shp_bench::bench_json;
-use shp_serving::{CacheStats, LegacyServingMetrics, ServingMetrics, ServingReport};
+use shp_bench::oracles::metrics::ReferenceServingMetrics;
+use shp_serving::{CacheStats, ServingMetrics, ServingReport};
 use shp_telemetry::histogram::QUANTIZATION_ERROR;
 use shp_telemetry::{Counter, Histogram, TopKSketch};
 
@@ -84,7 +86,7 @@ fn record_all(metrics: &ServingMetrics, stream: &[Observation]) {
     }
 }
 
-fn record_all_legacy(metrics: &LegacyServingMetrics, stream: &[Observation]) {
+fn record_all_legacy(metrics: &ReferenceServingMetrics, stream: &[Observation]) {
     for o in stream {
         metrics.record(
             o.fanout,
@@ -165,7 +167,7 @@ fn main() {
 
     // ---- Conformance gates (CI smoke relies on these panicking on regression) ----------
     let metrics = ServingMetrics::new();
-    let legacy = LegacyServingMetrics::new();
+    let legacy = ReferenceServingMetrics::new();
     record_all(&metrics, &stream);
     record_all_legacy(&legacy, &stream);
     let exact = legacy.report(CacheStats::default());
@@ -221,7 +223,7 @@ fn main() {
         || metrics.reset(),
         |()| record_all(&metrics, &stream),
     );
-    let legacy_1t = support::measure(rounds, LegacyServingMetrics::new, |fresh| {
+    let legacy_1t = support::measure(rounds, ReferenceServingMetrics::new, |fresh| {
         record_all_legacy(&fresh, &stream)
     });
     let serving_4t = support::measure(
@@ -229,7 +231,7 @@ fn main() {
         || metrics.reset(),
         |()| record_contended(&|slice| record_all(&metrics, slice), &stream),
     );
-    let legacy_4t = support::measure(rounds, LegacyServingMetrics::new, |fresh| {
+    let legacy_4t = support::measure(rounds, ReferenceServingMetrics::new, |fresh| {
         record_contended(&|slice| record_all_legacy(&fresh, slice), &stream)
     });
 

@@ -1,0 +1,77 @@
+//! Checking harnesses shared by the conformance tests that compare a shipped path with an
+//! [oracle](crate::oracles) step by step.
+
+use crate::oracles;
+use crate::oracles::gains::{proposal_bits, ProposalBits};
+use shp_core::gains::{self, GainKernel, MoveProposal, TargetConstraint};
+use shp_core::{IterationStats, NeighborData, Refiner};
+use shp_hypergraph::{BipartiteGraph, Partition};
+
+/// Refines from `start` with a full gain rescan every iteration ([`Refiner::run_iteration`],
+/// a fresh `ActiveSet` each time), stopping like [`Refiner::run`] once the moved fraction drops
+/// below `threshold`. Before every iteration it asserts that the scratch kernel's proposal for
+/// every vertex, which is what that iteration's rescan computes, equals the hash-map oracle's
+/// bit for bit. So a run equal to this one equals, by induction over the iterations, the
+/// pipeline that runs the hash-map kernel with a full rescan every iteration.
+///
+/// `constraint` must be the one `refiner` was built with; `workers` is the worker count the
+/// scratch proposals are computed with.
+///
+/// # Panics
+///
+/// When the scratch proposals differ from the oracle's before some iteration.
+pub fn checked_full_rescan(
+    graph: &BipartiteGraph,
+    refiner: &Refiner<'_>,
+    constraint: &TargetConstraint,
+    workers: usize,
+    start: &Partition,
+    max_iterations: usize,
+    threshold: f64,
+) -> (Partition, Vec<IterationStats>) {
+    let bits = |proposals: Vec<Option<MoveProposal>>| -> Vec<Option<ProposalBits>> {
+        proposals
+            .iter()
+            .map(|p| p.as_ref().map(proposal_bits))
+            .collect()
+    };
+    let mut partition = start.clone();
+    let mut nd = NeighborData::build(graph, &partition);
+    let vertices: Vec<u32> = graph.data_vertices().collect();
+    let mut history = Vec::new();
+    for iteration in 0..max_iterations {
+        let least_loaded = partition.least_loaded_bucket();
+        let scratch = gains::compute_proposals_for(
+            refiner.objective(),
+            graph,
+            &partition,
+            &nd,
+            constraint,
+            least_loaded,
+            &vertices,
+            workers,
+            GainKernel::Scratch,
+        );
+        let oracle = oracles::gains::compute_proposals_for(
+            refiner.objective(),
+            graph,
+            &partition,
+            &nd,
+            constraint,
+            least_loaded,
+            &vertices,
+        );
+        assert_eq!(
+            bits(scratch),
+            bits(oracle),
+            "iteration {iteration}: scratch proposals diverged from the hash-map kernel"
+        );
+        let stats = refiner.run_iteration(&mut partition, &mut nd, iteration);
+        let converged = stats.moved_fraction < threshold;
+        history.push(stats);
+        if converged {
+            break;
+        }
+    }
+    (partition, history)
+}

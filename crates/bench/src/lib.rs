@@ -8,6 +8,11 @@
 //! All binaries accept the environment variable `SHP_BENCH_SCALE` (default `0.01`) controlling
 //! the fraction of the published dataset sizes that is synthesized, so the full suite runs on a
 //! laptop while preserving the qualitative shapes of the results.
+//!
+//! The library also holds the reference implementations ([`oracles`]) that the conformance
+//! tests and the hot-path benches check the optimized gain kernel, CSR build, text readers and
+//! serving metrics against, and the harness those tests share ([`conformance`]). No shipped
+//! crate depends on this one, so they never reach production.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,6 +24,21 @@ use shp_hypergraph::{BipartiteGraph, Partition};
 use std::time::Duration;
 
 pub mod bench_json;
+pub mod conformance;
+pub mod oracles;
+
+// Unit tests of shipped modules against `oracles`. Each module is named after the shipped
+// module it checks, so its tests keep the paths they had as that module's own unit tests.
+#[cfg(test)]
+mod builder;
+#[cfg(test)]
+mod gains;
+#[cfg(test)]
+mod io;
+#[cfg(test)]
+mod metrics;
+#[cfg(test)]
+mod refinement;
 
 /// Default dataset scale used by the benchmark binaries.
 pub const DEFAULT_SCALE: f64 = 0.01;

@@ -638,6 +638,11 @@ fn cmd_convert(args: &Args) -> ShpResult<()> {
     };
     let (from, to) = (format("--from")?, format("--to")?);
     let workers: usize = args.value("--workers")?;
+    if workers == 0 {
+        return Err(ShpError::InvalidArgument(
+            "at least 1 worker is required".into(),
+        ));
+    }
 
     // Input: explicit flag > extension > content sniffing.
     let bytes = std::fs::read(&input).map_err(shp_hypergraph::GraphError::from)?;
@@ -812,6 +817,9 @@ impl ServeOptions {
         if !(options.duration > 0.0 && options.duration.is_finite()) {
             return invalid("duration must be a positive number");
         }
+        if options.clients == 0 {
+            return invalid("at least 1 client is required");
+        }
         if options.workers == 0 {
             return invalid("at least 1 worker is required");
         }
@@ -907,7 +915,7 @@ fn serve_clients(
     clients: usize,
     progress: &AtomicUsize,
 ) -> ShpResult<()> {
-    let chunk = events.len().div_ceil(clients.max(1)).max(1);
+    let chunk = events.len().div_ceil(clients).max(1);
     std::thread::scope(|scope| {
         let handles: Vec<_> = events
             .chunks(chunk)

@@ -142,6 +142,12 @@ fn argument_errors_are_uniform_and_name_the_flag() {
     assert_contains(&stderr, "takes 3 argument(s), got 2");
     let stderr = run_err("drill --budget 0");
     assert_contains(&stderr, "migration_budget must be at least 1");
+    for command in ["replay", "serve"] {
+        let stderr = run_err(&format!("{command} --clients 0"));
+        assert_contains(&stderr, "at least 1 client is required");
+    }
+    let stderr = run_err("convert in.hgr out.shpb --workers 0");
+    assert_contains(&stderr, "at least 1 worker is required");
 }
 
 #[test]

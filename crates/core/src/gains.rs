@@ -7,32 +7,30 @@
 //!
 //! # The scratch kernel and its determinism contract
 //!
-//! The hot kernel accumulates per-candidate-bucket gain deltas in a [`GainScratch`]: a dense
+//! The kernel accumulates per-candidate-bucket gain deltas in a [`GainScratch`]: a dense
 //! `Vec<f64>` of size `k` plus a touched-bucket stack, allocated **once per worker** (via
-//! `rayon::pool::filter_map_index_with`) and reset in `O(touched)` after each vertex. Compared
-//! to the original per-vertex `HashMap<BucketId, f64>` kernel this removes all hashing, heap
-//! allocation, and large sorts from the inner loop — only the tiny touched list is sorted.
+//! `rayon::pool::filter_map_index_with`) and reset in `O(touched)` after each vertex. No
+//! hashing, heap allocation or large sort runs in the inner loop — only the tiny touched list
+//! is sorted.
 //!
-//! The scratch kernel is **bit-identical** to the hash-map kernel by construction:
+//! Its proposals are **bit-identical** to those of the direct per-vertex `HashMap` kernel:
 //!
 //! * per-bucket delta accumulation follows the exact same visit order (outer loop over the
 //!   vertex's queries, inner loop over each query's non-zero entries), so every slot sees the
 //!   identical sequence of f64 additions;
 //! * candidates are considered in ascending bucket order (the touched stack is sorted, matching
-//!   the sorted key collection of the hash-map kernel), with the same tie-breaking;
+//!   a sorted hash-map key collection), with the same tie-breaking;
 //! * the `least_loaded` fallback candidate is handled identically (considered last, only when
 //!   untouched).
 //!
-//! The original kernel is retained as [`GainKernel::LegacyHashMap`], selectable through
-//! [`compute_proposals_with_kernel`], solely so the conformance suite and the benchmark
-//! harness can assert bit-identical `MoveProposal` lists (including float bit patterns)
-//! between the two implementations. Production call sites always use [`GainKernel::Scratch`].
+//! That hash-map kernel is kept outside the shipped crates, in `shp_bench::oracles::gains`;
+//! the conformance tests and the `gain_computation` bench assert bit-identical `MoveProposal`
+//! lists (gain float bits included) against it.
 
 use crate::neighbor_data::NeighborData;
 use crate::objective::Objective;
 use crate::pair_table::PairLayout;
 use shp_hypergraph::{BipartiteGraph, BucketId, DataId, Partition};
-use std::collections::HashMap;
 
 /// A proposed move of one data vertex to its best target bucket.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,18 +120,15 @@ pub fn move_gain(
         .sum()
 }
 
-/// Selects which gain-kernel implementation [`compute_proposals_with_kernel`] runs.
+/// The gain kernel [`compute_proposals_for`] runs: the dense scratch kernel is the only one.
 ///
-/// [`GainKernel::LegacyHashMap`] exists **only** as a conformance oracle: the parallel
-/// conformance suite and the bench smoke job run both kernels and assert bit-identical
-/// proposal lists. Every production call site uses [`GainKernel::Scratch`].
+/// The type and that function's `kernel` parameter remain only because the pipeline benchmark
+/// (`perfbench/`) passes them; the next change to the benchmark deletes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GainKernel {
-    /// Allocation-free dense-scratch kernel (the default).
+    /// Allocation-free dense-scratch kernel.
     #[default]
     Scratch,
-    /// The original per-vertex `HashMap` kernel, kept as the bit-identity oracle.
-    LegacyHashMap,
 }
 
 /// Worker-local scratch state for the dense gain kernel: a delta accumulator of size `k`, a
@@ -221,7 +216,7 @@ pub fn best_move_for_vertex(
 /// The allocation-free gain kernel: like [`best_move_for_vertex`] but reusing a caller-provided
 /// [`GainScratch`] (which must cover at least `partition.num_buckets()` buckets). Zero heap
 /// allocation, zero hashing; only the touched-bucket list (at most the vertex's neighborhood
-/// fanout) is sorted. Bit-identical to the legacy hash-map kernel — see the module docs.
+/// fanout) is sorted. Bit-identical to the hash-map kernel — see the module docs.
 #[allow(clippy::too_many_arguments)]
 pub fn best_move_for_vertex_with(
     objective: &Objective,
@@ -265,7 +260,7 @@ pub fn best_move_for_vertex_with(
             // One fused pass per query: find `n_from` with a linear scan of the (tiny) entry
             // list, evaluate the escape gain `g0 = per_query_gain(n_from, 0)` once, and reuse
             // it for the base gain and for every entry's adjustment. Bit-identical to the
-            // legacy kernel's separate loops: base-gain accumulation visits queries in the
+            // hash-map kernel's separate loops: base-gain accumulation visits queries in the
             // same order and starts from -0.0 exactly like `Iterator::sum` for f64 (so an
             // isolated vertex's empty sum keeps its sign bit), `g0` is a pure function of
             // `n_from` (reusing it cannot change a single bit), and per-bucket delta
@@ -298,14 +293,14 @@ pub fn best_move_for_vertex_with(
                 };
             };
             // Candidates in ascending bucket order (sorting only the touched stack), exactly
-            // like the legacy kernel's sorted key collection.
+            // like the hash-map kernel's sorted key collection.
             scratch.touched.sort_unstable();
             for &b in &scratch.touched {
                 consider(b, base_gain + scratch.delta[b as usize]);
             }
             // Also consider an untouched bucket (the globally least-loaded one) if admissible.
             // Bounds-check before touching the scratch so an out-of-range caller-supplied
-            // `least_loaded` degrades exactly like the legacy kernel (treated as untouched,
+            // `least_loaded` degrades exactly like the hash-map kernel (treated as untouched,
             // then filtered by `< k`) instead of panicking on the mark index.
             let least_loaded_untouched = scratch
                 .marked
@@ -315,91 +310,6 @@ pub fn best_move_for_vertex_with(
                 consider(least_loaded, base_gain);
             }
             scratch.reset();
-            best.map(|(to, gain)| MoveProposal {
-                vertex: v,
-                from,
-                to,
-                gain,
-            })
-        }
-    }
-}
-
-/// The original hash-map gain kernel, retained verbatim as the bit-identity oracle for
-/// [`GainKernel::LegacyHashMap`]. Not used by any production path.
-fn best_move_for_vertex_legacy(
-    objective: &Objective,
-    graph: &BipartiteGraph,
-    partition: &Partition,
-    nd: &NeighborData,
-    constraint: &TargetConstraint,
-    least_loaded: BucketId,
-    v: DataId,
-) -> Option<MoveProposal> {
-    let from = partition.bucket_of(v);
-    match constraint {
-        TargetConstraint::Siblings { allowed } => {
-            let targets = allowed.get(from as usize)?;
-            let mut best: Option<(BucketId, f64)> = None;
-            for &to in targets {
-                if to == from {
-                    continue;
-                }
-                let gain = move_gain(objective, graph, partition, nd, v, to);
-                best = match best {
-                    Some((bb, bg)) if bg > gain || (bg == gain && bb < to) => Some((bb, bg)),
-                    _ => Some((to, gain)),
-                };
-            }
-            best.map(|(to, gain)| MoveProposal {
-                vertex: v,
-                from,
-                to,
-                gain,
-            })
-        }
-        TargetConstraint::All { k } => {
-            if *k <= 1 {
-                return None;
-            }
-            // Gain of moving to a bucket none of v's queries touch.
-            let base_gain: f64 = graph
-                .data_neighbors(v)
-                .iter()
-                .map(|&q| objective.per_query_gain(nd.count(q, from), 0))
-                .sum();
-            // Adjustment for every bucket that at least one adjacent query already touches.
-            let mut deltas: HashMap<BucketId, f64> = HashMap::new();
-            for &q in graph.data_neighbors(v) {
-                let n_from = nd.count(q, from);
-                for &(b, c) in nd.nonzero(q) {
-                    if b == from {
-                        continue;
-                    }
-                    let adjustment =
-                        objective.per_query_gain(n_from, c) - objective.per_query_gain(n_from, 0);
-                    *deltas.entry(b).or_insert(0.0) += adjustment;
-                }
-            }
-            let mut best: Option<(BucketId, f64)> = None;
-            let mut consider = |to: BucketId, gain: f64| {
-                best = match best {
-                    Some((bb, bg)) if bg > gain || (bg == gain && bb <= to) => Some((bb, bg)),
-                    _ => Some((to, gain)),
-                };
-            };
-            // Iterate candidates in bucket order so results are deterministic across runs
-            // (HashMap iteration order is not).
-            let mut candidates: Vec<(BucketId, f64)> =
-                deltas.iter().map(|(&b, &d)| (b, d)).collect();
-            candidates.sort_unstable_by_key(|&(b, _)| b);
-            for (b, delta) in candidates {
-                consider(b, base_gain + delta);
-            }
-            // Also consider an untouched bucket (the globally least-loaded one) if admissible.
-            if least_loaded != from && !deltas.contains_key(&least_loaded) && least_loaded < *k {
-                consider(least_loaded, base_gain);
-            }
             best.map(|(to, gain)| MoveProposal {
                 vertex: v,
                 from,
@@ -429,65 +339,25 @@ pub fn compute_proposals(
     include_nonpositive: bool,
     workers: usize,
 ) -> Vec<MoveProposal> {
-    compute_proposals_with_kernel(
-        objective,
-        graph,
-        partition,
-        nd,
-        constraint,
-        include_nonpositive,
-        workers,
-        GainKernel::Scratch,
-    )
-}
-
-/// [`compute_proposals`] with an explicit kernel choice — the conformance-oracle entry point.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_proposals_with_kernel(
-    objective: &Objective,
-    graph: &BipartiteGraph,
-    partition: &Partition,
-    nd: &NeighborData,
-    constraint: &TargetConstraint,
-    include_nonpositive: bool,
-    workers: usize,
-    kernel: GainKernel,
-) -> Vec<MoveProposal> {
     let least_loaded = partition.least_loaded_bucket();
-    match kernel {
-        GainKernel::Scratch => rayon::pool::filter_map_index_with(
-            graph.num_data(),
-            workers,
-            || GainScratch::new(partition.num_buckets()),
-            |scratch, v| {
-                best_move_for_vertex_with(
-                    objective,
-                    graph,
-                    partition,
-                    nd,
-                    constraint,
-                    least_loaded,
-                    scratch,
-                    v as DataId,
-                )
-                .filter(|p| include_nonpositive || p.gain > 0.0)
-            },
-        ),
-        GainKernel::LegacyHashMap => {
-            rayon::pool::filter_map_index(graph.num_data(), workers, |v| {
-                best_move_for_vertex_legacy(
-                    objective,
-                    graph,
-                    partition,
-                    nd,
-                    constraint,
-                    least_loaded,
-                    v as DataId,
-                )
-                .filter(|p| include_nonpositive || p.gain > 0.0)
-            })
-        }
-    }
+    rayon::pool::filter_map_index_with(
+        graph.num_data(),
+        workers,
+        || GainScratch::new(partition.num_buckets()),
+        |scratch, v| {
+            best_move_for_vertex_with(
+                objective,
+                graph,
+                partition,
+                nd,
+                constraint,
+                least_loaded,
+                scratch,
+                v as DataId,
+            )
+            .filter(|p| include_nonpositive || p.gain > 0.0)
+        },
+    )
 }
 
 /// Recomputes the best proposal of each vertex in `vertices` (ascending ids expected), in
@@ -495,7 +365,8 @@ pub fn compute_proposals_with_kernel(
 /// in input order. This is the dirty-set entry point used by
 /// [`crate::refinement::Refiner`]: unlike [`compute_proposals`] it never filters by gain (the
 /// caller caches the raw best proposal per vertex and applies filtering when assembling the
-/// iteration's proposal list).
+/// iteration's proposal list). `kernel` has one value and remains only because the pipeline
+/// benchmark passes it; see [`GainKernel`].
 #[allow(clippy::too_many_arguments)]
 pub fn compute_proposals_for(
     objective: &Objective,
@@ -508,36 +379,24 @@ pub fn compute_proposals_for(
     workers: usize,
     kernel: GainKernel,
 ) -> Vec<Option<MoveProposal>> {
-    match kernel {
-        GainKernel::Scratch => rayon::pool::map_index_with(
-            vertices.len(),
-            workers,
-            || GainScratch::new(partition.num_buckets()),
-            |scratch, i| {
-                best_move_for_vertex_with(
-                    objective,
-                    graph,
-                    partition,
-                    nd,
-                    constraint,
-                    least_loaded,
-                    scratch,
-                    vertices[i],
-                )
-            },
-        ),
-        GainKernel::LegacyHashMap => rayon::pool::map_index(vertices.len(), workers, |i| {
-            best_move_for_vertex_legacy(
+    let GainKernel::Scratch = kernel;
+    rayon::pool::map_index_with(
+        vertices.len(),
+        workers,
+        || GainScratch::new(partition.num_buckets()),
+        |scratch, i| {
+            best_move_for_vertex_with(
                 objective,
                 graph,
                 partition,
                 nd,
                 constraint,
                 least_loaded,
+                scratch,
                 vertices[i],
             )
-        }),
-    }
+        },
+    )
 }
 
 #[cfg(test)]
@@ -660,69 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_kernel_is_bit_identical_to_legacy_kernel() {
-        // Random-ish graph with enough structure to hit every kernel branch: touched and
-        // untouched least-loaded buckets, ties, isolated vertices.
-        let mut b = GraphBuilder::new();
-        for q in 0..40u32 {
-            let base = (q * 7) % 50;
-            b.add_query([base, (base + 3) % 50, (base + 11) % 50, (base + 19) % 50]);
-        }
-        b.ensure_data_count(55); // vertices 50..55 are isolated
-        let g = b.build().unwrap();
-        let assignment: Vec<u32> = (0..55).map(|v| (v * 13) % 6).collect();
-        let p = Partition::from_assignment(&g, 6, assignment).unwrap();
-        let nd = NeighborData::build(&g, &p);
-        for obj in [
-            Objective::Fanout,
-            Objective::PFanout { p: 0.5 },
-            Objective::CliqueNet,
-        ] {
-            for constraint in [
-                TargetConstraint::all(6),
-                TargetConstraint::sibling_groups(&[vec![0, 1, 2], vec![3, 4, 5]]),
-            ] {
-                for include in [false, true] {
-                    for workers in [1usize, 2, 4] {
-                        let scratch = compute_proposals_with_kernel(
-                            &obj,
-                            &g,
-                            &p,
-                            &nd,
-                            &constraint,
-                            include,
-                            workers,
-                            GainKernel::Scratch,
-                        );
-                        let legacy = compute_proposals_with_kernel(
-                            &obj,
-                            &g,
-                            &p,
-                            &nd,
-                            &constraint,
-                            include,
-                            workers,
-                            GainKernel::LegacyHashMap,
-                        );
-                        assert_eq!(scratch.len(), legacy.len());
-                        for (s, l) in scratch.iter().zip(legacy.iter()) {
-                            assert_eq!(s.vertex, l.vertex);
-                            assert_eq!(s.from, l.from);
-                            assert_eq!(s.to, l.to);
-                            assert_eq!(
-                                s.gain.to_bits(),
-                                l.gain.to_bits(),
-                                "gain bits diverged for vertex {} ({obj:?})",
-                                s.vertex
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn scratch_reuse_across_vertices_does_not_leak_state() {
         let (g, p) = figure1();
         let nd = NeighborData::build(&g, &p);
@@ -739,25 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_least_loaded_degrades_like_legacy_instead_of_panicking() {
-        // The constraint's k may legitimately exceed the partition's bucket count (and thus
-        // the scratch size); a caller-supplied least_loaded in that gap must be filtered by
-        // the `< k` guard on both kernels, never panic on the scratch mark index.
-        let (g, p) = figure1();
-        let nd = NeighborData::build(&g, &p);
-        let obj = Objective::PFanout { p: 0.5 };
-        let constraint = TargetConstraint::all(5); // partition only has 2 buckets
-        for least_loaded in [2u32, 4, 7, u32::MAX] {
-            for v in 0..6u32 {
-                let scratch = best_move_for_vertex(&obj, &g, &p, &nd, &constraint, least_loaded, v);
-                let legacy =
-                    best_move_for_vertex_legacy(&obj, &g, &p, &nd, &constraint, least_loaded, v);
-                assert_eq!(scratch, legacy, "v={v} least_loaded={least_loaded}");
-            }
-        }
-    }
-
-    #[test]
     fn compute_proposals_for_matches_full_scan() {
         let (g, p) = figure1();
         let nd = NeighborData::build(&g, &p);
@@ -765,21 +542,19 @@ mod tests {
         let constraint = TargetConstraint::all(2);
         let full = compute_proposals(&obj, &g, &p, &nd, &constraint, true, 1);
         let vertices: Vec<u32> = (0..6).collect();
-        for kernel in [GainKernel::Scratch, GainKernel::LegacyHashMap] {
-            let per_vertex = compute_proposals_for(
-                &obj,
-                &g,
-                &p,
-                &nd,
-                &constraint,
-                p.least_loaded_bucket(),
-                &vertices,
-                2,
-                kernel,
-            );
-            let flattened: Vec<MoveProposal> = per_vertex.into_iter().flatten().collect();
-            assert_eq!(flattened, full);
-        }
+        let per_vertex = compute_proposals_for(
+            &obj,
+            &g,
+            &p,
+            &nd,
+            &constraint,
+            p.least_loaded_bucket(),
+            &vertices,
+            2,
+            GainKernel::Scratch,
+        );
+        let flattened: Vec<MoveProposal> = per_vertex.into_iter().flatten().collect();
+        assert_eq!(flattened, full);
     }
 
     #[test]

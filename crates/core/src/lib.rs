@@ -80,7 +80,7 @@ pub use config::{BalanceMode, ObjectiveKind, PartitionMode, ShpConfig, SwapStrat
 pub use direct::partition_direct;
 pub use distributed::{partition_distributed, DistributedRunResult};
 pub use error::{ShpError, ShpResult};
-pub use gains::{GainKernel, GainScratch, MoveProposal, TargetConstraint};
+pub use gains::{GainScratch, MoveProposal, TargetConstraint};
 pub use incremental::{partition_incremental, IncrementalConfig};
 pub use multidim::{partition_multidimensional, MultiDimConfig};
 pub use neighbor_data::NeighborData;

@@ -20,9 +20,10 @@
 //! Clean vertices therefore have bit-identical inputs to the previous sweep, and the kernel is
 //! deterministic, so serving their cached proposal is **exactly** what recomputing them would
 //! produce: the assembled proposal list (ascending vertex order, same gain filter) equals a
-//! full rescan bit-for-bit, for every worker count and with the dirty set on or off. The
-//! conformance suite (`tests/parallel_conformance.rs`) locks this in against the legacy
-//! full-rescan pipeline.
+//! full rescan bit-for-bit, for every worker count. A full rescan is
+//! [`Refiner::run_iteration`], which starts from a fresh [`ActiveSet`]. The conformance suite
+//! (`tests/parallel_conformance.rs`) locks this in: a dirty-set run equals a loop of full
+//! rescans, whose proposals before every iteration equal the reference hash-map kernel's.
 //!
 //! Late iterations in the Figure 7 convergence regime move a vanishing fraction of vertices,
 //! so the per-iteration cost drops from `O(|V| · deg · fanout)` to the dirty frontier's
@@ -66,7 +67,7 @@ pub type GainAdjuster = Box<dyn Fn(&MoveProposal) -> f64 + Send + Sync>;
 /// docs for the exactness argument.
 ///
 /// An `ActiveSet` is valid for **exactly one** (refiner, partition, neighbor-data) evolution:
-/// the cached proposals embody the refiner's objective, constraint, and kernel, and the dirty
+/// the cached proposals embody the refiner's objective and constraint, and the dirty
 /// flags assume every partition/neighbor-data mutation since the last call went through
 /// [`Refiner::run_iteration_with`] with this same state. Reusing it with a differently
 /// configured refiner, or after mutating the partition behind its back, silently serves stale
@@ -146,8 +147,6 @@ pub struct Refiner<'a> {
     seed: u64,
     workers: usize,
     gain_adjuster: Option<GainAdjuster>,
-    use_dirty_set: bool,
-    kernel: GainKernel,
 }
 
 impl<'a> Refiner<'a> {
@@ -174,8 +173,6 @@ impl<'a> Refiner<'a> {
             seed,
             workers: 1,
             gain_adjuster: None,
-            use_dirty_set: true,
-            kernel: GainKernel::default(),
         }
     }
 
@@ -195,22 +192,6 @@ impl<'a> Refiner<'a> {
     /// worker count; the default is 1 (fully sequential).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Enables or disables the dirty-vertex active set (enabled by default). With the set
-    /// disabled every iteration performs a full gain rescan; results are bit-identical either
-    /// way (the conformance suite asserts it) — the toggle exists for that comparison and for
-    /// perf analysis.
-    pub fn with_dirty_set(mut self, enabled: bool) -> Self {
-        self.use_dirty_set = enabled;
-        self
-    }
-
-    /// Selects the gain-kernel implementation (default [`GainKernel::Scratch`]). The legacy
-    /// hash-map kernel exists only as the bit-identity oracle for tests and bench smoke runs.
-    pub fn with_kernel(mut self, kernel: GainKernel) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -257,9 +238,7 @@ impl<'a> Refiner<'a> {
         // if it moved since the cache was filled, conservatively dirty everything.
         let least_loaded = partition.least_loaded_bucket();
         let least_loaded_is_input = matches!(self.constraint, TargetConstraint::All { .. });
-        if !self.use_dirty_set
-            || (least_loaded_is_input && active.cached_least_loaded != Some(least_loaded))
-        {
+        if least_loaded_is_input && active.cached_least_loaded != Some(least_loaded) {
             active.mark_all_dirty();
         }
         let dirty: Vec<DataId> = active
@@ -278,7 +257,7 @@ impl<'a> Refiner<'a> {
             least_loaded,
             &dirty,
             self.workers,
-            self.kernel,
+            GainKernel::Scratch,
         );
         for (&v, proposal) in dirty.iter().zip(recomputed) {
             active.cached[v as usize] = proposal;
@@ -744,61 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn dirty_set_and_scratch_kernel_match_legacy_full_rescan_bit_for_bit() {
-        // The complete oracle: the optimized pipeline (scratch kernel + dirty-vertex active
-        // set) must reproduce the pre-optimization pipeline (hash-map kernel + full rescan
-        // every iteration) exactly — same partitions, same stats including float bit patterns.
-        let graph = community_graph(5, 7);
-        for strategy in [SwapStrategy::Matrix, SwapStrategy::Histogram] {
-            for constraint in [
-                TargetConstraint::all(4),
-                TargetConstraint::sibling_groups(&[vec![0, 1], vec![2, 3]]),
-            ] {
-                let mut rng = Pcg64::seed_from_u64(21);
-                let initial = Partition::new_random(&graph, 4, &mut rng).unwrap();
-
-                let run = |dirty: bool, kernel: crate::gains::GainKernel| {
-                    let mut partition = initial.clone();
-                    let mut nd = NeighborData::build(&graph, &partition);
-                    let refiner = Refiner::new(
-                        &graph,
-                        Objective::PFanout { p: 0.5 },
-                        constraint.clone(),
-                        strategy,
-                        BalanceMode::Expectation,
-                        false,
-                        0.05,
-                        21,
-                    )
-                    .with_dirty_set(dirty)
-                    .with_kernel(kernel);
-                    let history = refiner.run(&mut partition, &mut nd, 12, 0.0);
-                    (partition, history)
-                };
-
-                let (p_new, h_new) = run(true, crate::gains::GainKernel::Scratch);
-                let (p_old, h_old) = run(false, crate::gains::GainKernel::LegacyHashMap);
-                assert_eq!(
-                    p_new, p_old,
-                    "{strategy:?}/{constraint:?}: partitions diverged"
-                );
-                assert_eq!(h_new.len(), h_old.len());
-                for (a, b) in h_new.iter().zip(h_old.iter()) {
-                    assert_eq!(a.candidates, b.candidates);
-                    assert_eq!(a.moved, b.moved);
-                    assert_eq!(
-                        a.applied_gain.to_bits(),
-                        b.applied_gain.to_bits(),
-                        "{strategy:?}/{constraint:?} iteration {}",
-                        a.iteration
-                    );
-                    assert_eq!(a.fanout_after.to_bits(), b.fanout_after.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn dirty_set_shrinks_as_refinement_converges() {
         let graph = community_graph(4, 8);
         let mut rng = Pcg64::seed_from_u64(3);
@@ -848,26 +772,24 @@ mod tests {
         let graph = community_graph(3, 6);
         let mut rng = Pcg64::seed_from_u64(8);
         let initial = Partition::new_random(&graph, 3, &mut rng).unwrap();
-        let run = |dirty: bool| {
-            let mut partition = initial.clone();
-            let mut nd = NeighborData::build(&graph, &partition);
-            let refiner = Refiner::new(
-                &graph,
-                Objective::PFanout { p: 0.5 },
-                TargetConstraint::all(3),
-                SwapStrategy::Matrix,
-                BalanceMode::Expectation,
-                false,
-                0.05,
-                8,
-            )
-            .with_dirty_set(dirty)
-            .with_gain_adjuster(Box::new(|p| p.gain - 0.125));
-            let history = refiner.run(&mut partition, &mut nd, 10, 0.0);
-            (partition, history)
-        };
-        let (p_dirty, h_dirty) = run(true);
-        let (p_full, h_full) = run(false);
+        let refiner = Refiner::new(
+            &graph,
+            Objective::PFanout { p: 0.5 },
+            TargetConstraint::all(3),
+            SwapStrategy::Matrix,
+            BalanceMode::Expectation,
+            false,
+            0.05,
+            8,
+        )
+        .with_gain_adjuster(Box::new(|p| p.gain - 0.125));
+        let (mut p_dirty, mut p_full) = (initial.clone(), initial);
+        let mut nd_dirty = NeighborData::build(&graph, &p_dirty);
+        let mut nd_full = nd_dirty.clone();
+        let h_dirty = refiner.run(&mut p_dirty, &mut nd_dirty, 10, 0.0);
+        let h_full: Vec<IterationStats> = (0..10)
+            .map(|it| refiner.run_iteration(&mut p_full, &mut nd_full, it))
+            .collect();
         assert_eq!(p_dirty, p_full);
         assert_eq!(h_dirty, h_full);
     }

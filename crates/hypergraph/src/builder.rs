@@ -8,27 +8,13 @@
 //! directions with a two-pass counting sort whose data→query transpose can run on the real
 //! thread pool ([`GraphBuilder::with_workers`]).
 //!
-//! The pre-arena build — one `Vec<DataId>` per hyperedge, sequential CSR assembly — is
-//! retained verbatim behind [`BuildKernel::Legacy`] as a conformance oracle: for any sequence
-//! of `add_query`/`add_edge` calls, both kernels produce **bit-identical** graphs at every
-//! worker count (locked in by `tests/parallel_conformance.rs` and the `graph_ingest` bench).
+//! For any sequence of `add_query`/`add_edge` calls the built graph is **bit-identical** at
+//! every worker count to the straightforward per-query-`Vec` build kept in
+//! `shp_bench::oracles::ingest` (locked in by `tests/parallel_conformance.rs` and the
+//! `graph_ingest` bench).
 
 use crate::bipartite::{BipartiteGraph, DataId, QueryId};
 use crate::error::{GraphError, Result};
-
-/// Selects the CSR assembly implementation of [`GraphBuilder::build`].
-///
-/// `Flat` is the production kernel; `Legacy` keeps the original per-query-`Vec` build as a
-/// bit-identical conformance oracle (the ingestion analogue of `GainKernel::LegacyHashMap` in
-/// `shp-core`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BuildKernel {
-    /// Flat arena + two-pass counting sort, transpose parallelizable over the thread pool.
-    #[default]
-    Flat,
-    /// One `Vec<DataId>` per hyperedge, sequential CSR assembly — the conformance oracle.
-    Legacy,
-}
 
 /// Builds a [`BipartiteGraph`] from hyperedges (queries) added one at a time and/or a stream
 /// of `(query, data)` edge pairs.
@@ -54,12 +40,10 @@ pub enum BuildKernel {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
-    /// Flat arena of pins of all hyperedges added through `add_query*` (Flat kernel).
+    /// Flat arena of pins of all hyperedges added through `add_query*`.
     pins: Vec<DataId>,
     /// Arena offsets: `offsets[q]..offsets[q+1]` are the pins of query `q`; starts at `[0]`.
     offsets: Vec<u64>,
-    /// Hyperedges of the Legacy kernel (one `Vec` per query, the pre-arena representation).
-    legacy_queries: Vec<Vec<DataId>>,
     /// Flat arena of `(query, data)` pairs added through `add_edge`/`add_edges`.
     edges: Vec<(QueryId, DataId)>,
     /// Largest edge-mode query id seen plus one.
@@ -70,9 +54,7 @@ pub struct GraphBuilder {
     data_weights: Option<Vec<u32>>,
     /// Whether duplicate pins within a hyperedge should be removed (default true).
     dedup_pins: bool,
-    /// CSR assembly implementation.
-    kernel: BuildKernel,
-    /// Worker threads used by the Flat kernel's CSR passes.
+    /// Worker threads used by the CSR passes.
     workers: usize,
 }
 
@@ -89,13 +71,11 @@ impl GraphBuilder {
         GraphBuilder {
             pins: Vec::new(),
             offsets: vec![0],
-            legacy_queries: Vec::new(),
             edges: Vec::new(),
             edge_num_queries: 0,
             num_data: 0,
             data_weights: None,
             dedup_pins: true,
-            kernel: BuildKernel::Flat,
             workers: 1,
         }
     }
@@ -112,12 +92,9 @@ impl GraphBuilder {
 
     /// Reserves room for at least `additional` more pins in the flat arena. Readers that
     /// know the exact pin count from a header or a completed parallel parse use this to make
-    /// arena growth a single allocation. A no-op under [`BuildKernel::Legacy`]: the oracle
-    /// deliberately keeps the original per-hyperedge allocation profile.
+    /// arena growth a single allocation.
     pub fn reserve_pins(&mut self, additional: usize) {
-        if self.kernel == BuildKernel::Flat {
-            self.pins.reserve(additional);
-        }
+        self.pins.reserve(additional);
     }
 
     /// Reserves room for at least `additional` more `(query, data)` edge pairs.
@@ -132,21 +109,7 @@ impl GraphBuilder {
         self
     }
 
-    /// Selects the CSR assembly kernel. Must be called before any hyperedge or edge is added
-    /// (the two kernels store hyperedges differently).
-    ///
-    /// # Panics
-    /// Panics if hyperedges or edges were already added.
-    pub fn with_kernel(mut self, kernel: BuildKernel) -> Self {
-        assert!(
-            self.offsets.len() == 1 && self.legacy_queries.is_empty() && self.edges.is_empty(),
-            "the build kernel must be selected before adding hyperedges"
-        );
-        self.kernel = kernel;
-        self
-    }
-
-    /// Sets the number of worker threads the Flat kernel's CSR passes may use (default 1).
+    /// Sets the number of worker threads the CSR passes may use (default 1).
     /// The built graph is bit-identical for every worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
@@ -159,31 +122,18 @@ impl GraphBuilder {
     where
         I: IntoIterator<Item = DataId>,
     {
-        match self.kernel {
-            BuildKernel::Flat => {
-                let start = self.pins.len();
-                self.pins.extend(pins);
-                self.finish_arena_query(start)
-            }
-            BuildKernel::Legacy => {
-                let pins: Vec<DataId> = pins.into_iter().collect();
-                self.push_legacy_query(pins)
-            }
-        }
+        let start = self.pins.len();
+        self.pins.extend(pins);
+        self.finish_arena_query(start)
     }
 
     /// Adds one query from a pin slice, appending straight into the flat arena without the
     /// `IntoIterator` indirection — the fast path for hot callers (generators, parsers) that
     /// accumulate pins in a reusable scratch buffer.
     pub fn add_query_slice(&mut self, pins: &[DataId]) -> QueryId {
-        match self.kernel {
-            BuildKernel::Flat => {
-                let start = self.pins.len();
-                self.pins.extend_from_slice(pins);
-                self.finish_arena_query(start)
-            }
-            BuildKernel::Legacy => self.push_legacy_query(pins.to_vec()),
-        }
+        let start = self.pins.len();
+        self.pins.extend_from_slice(pins);
+        self.finish_arena_query(start)
     }
 
     /// Canonicalizes the pins appended since `start` (sort + dedup unless disabled), tracks
@@ -216,23 +166,6 @@ impl GraphBuilder {
         }
         let id = (self.offsets.len() - 1) as QueryId;
         self.offsets.push(self.pins.len() as u64);
-        id
-    }
-
-    /// The original (pre-arena) `add_query` body, verbatim: collect, sort, dedup, push one
-    /// `Vec` per hyperedge.
-    fn push_legacy_query(&mut self, mut pins: Vec<DataId>) -> QueryId {
-        if self.dedup_pins {
-            pins.sort_unstable();
-            pins.dedup();
-        }
-        for &v in &pins {
-            if (v as usize) >= self.num_data {
-                self.num_data = v as usize + 1;
-            }
-        }
-        let id = self.legacy_queries.len() as QueryId;
-        self.legacy_queries.push(pins);
         id
     }
 
@@ -275,11 +208,7 @@ impl GraphBuilder {
 
     /// Number of queries added so far (hyperedges plus the span implied by edge-mode ids).
     pub fn num_queries(&self) -> usize {
-        let arena = match self.kernel {
-            BuildKernel::Flat => self.offsets.len() - 1,
-            BuildKernel::Legacy => self.legacy_queries.len(),
-        };
-        arena.max(self.edge_num_queries)
+        (self.offsets.len() - 1).max(self.edge_num_queries)
     }
 
     /// Number of data vertices implied so far.
@@ -290,11 +219,7 @@ impl GraphBuilder {
     /// Total number of pins added so far (hyperedge pins after in-hyperedge dedup, plus raw
     /// edge pairs — edge pairs are deduplicated only at build time).
     pub fn num_pins(&self) -> usize {
-        let arena = match self.kernel {
-            BuildKernel::Flat => self.pins.len(),
-            BuildKernel::Legacy => self.legacy_queries.iter().map(Vec::len).sum(),
-        };
-        arena + self.edges.len()
+        self.pins.len() + self.edges.len()
     }
 
     /// Finalizes the builder into an immutable [`BipartiteGraph`].
@@ -312,16 +237,9 @@ impl GraphBuilder {
                 });
             }
         }
-        match self.kernel {
-            BuildKernel::Flat => self.build_flat(),
-            BuildKernel::Legacy => self.build_legacy(),
-        }
-    }
-
-    /// Flat kernel: the arena already *is* the query-side CSR when no edge pairs were added;
-    /// otherwise one counting sort merges both arenas. The data side is always a two-pass
-    /// counting sort (degree histogram → prefix sum → scatter), parallelized over `workers`.
-    fn build_flat(self) -> Result<BipartiteGraph> {
+        // The arena already *is* the query-side CSR when no edge pairs were added; otherwise
+        // one counting sort merges both arenas. The data side is always a two-pass counting
+        // sort (degree histogram → prefix sum → scatter), parallelized over `workers`.
         let arena_queries = self.offsets.len() - 1;
         let num_queries = arena_queries.max(self.edge_num_queries);
         let num_data = self.num_data;
@@ -350,67 +268,6 @@ impl GraphBuilder {
             &query_adjacency,
             workers,
         );
-
-        Ok(BipartiteGraph::from_csr(
-            query_offsets,
-            query_adjacency,
-            data_offsets,
-            data_adjacency,
-            self.data_weights,
-        ))
-    }
-
-    /// Legacy kernel: the original build, verbatim — per-query `Vec`s concatenated
-    /// sequentially, then a sequential counting sort for the data side.
-    fn build_legacy(self) -> Result<BipartiteGraph> {
-        let mut queries = self.legacy_queries;
-        let num_queries = queries.len().max(self.edge_num_queries);
-        queries.resize(num_queries, Vec::new());
-        if !self.edges.is_empty() {
-            let mut touched = vec![false; num_queries];
-            for &(q, v) in &self.edges {
-                queries[q as usize].push(v);
-                touched[q as usize] = true;
-            }
-            if self.dedup_pins {
-                for (q, pins) in queries.iter_mut().enumerate() {
-                    if touched[q] {
-                        pins.sort_unstable();
-                        pins.dedup();
-                    }
-                }
-            }
-        }
-        let num_data = self.num_data;
-
-        // Query-side CSR.
-        let mut query_offsets: Vec<u64> = Vec::with_capacity(num_queries + 1);
-        query_offsets.push(0);
-        let total_pins: usize = queries.iter().map(|q| q.len()).sum();
-        let mut query_adjacency: Vec<DataId> = Vec::with_capacity(total_pins);
-        for pins in &queries {
-            query_adjacency.extend_from_slice(pins);
-            query_offsets.push(query_adjacency.len() as u64);
-        }
-
-        // Data-side CSR via counting sort over the query adjacency.
-        let mut data_degree = vec![0u64; num_data];
-        for &v in &query_adjacency {
-            data_degree[v as usize] += 1;
-        }
-        let mut data_offsets = vec![0u64; num_data + 1];
-        for v in 0..num_data {
-            data_offsets[v + 1] = data_offsets[v] + data_degree[v];
-        }
-        let mut cursor = data_offsets.clone();
-        let mut data_adjacency = vec![0 as QueryId; total_pins];
-        for (q, pins) in queries.iter().enumerate() {
-            for &v in pins {
-                let pos = cursor[v as usize];
-                data_adjacency[pos as usize] = q as QueryId;
-                cursor[v as usize] = pos + 1;
-            }
-        }
 
         Ok(BipartiteGraph::from_csr(
             query_offsets,
@@ -773,35 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_kernel_is_bit_identical_to_flat_for_all_ingestion_shapes() {
-        let hyperedges: Vec<Vec<u32>> = vec![vec![9, 2, 2, 0], vec![5], vec![1, 8, 3, 3]];
-        let edges: Vec<(u32, u32)> = vec![(5, 1), (0, 9), (0, 4), (3, 3), (5, 1), (5, 0)];
-        for dedup in [true, false] {
-            for workers in [1usize, 2, 4, 8] {
-                let mut flat = GraphBuilder::new().with_workers(workers);
-                let mut legacy = GraphBuilder::new().with_kernel(BuildKernel::Legacy);
-                if !dedup {
-                    flat = flat.without_dedup();
-                    legacy = legacy.without_dedup();
-                }
-                for pins in &hyperedges {
-                    flat.add_query_slice(pins);
-                    legacy.add_query_slice(pins);
-                }
-                flat.add_edges(edges.iter().copied());
-                legacy.add_edges(edges.iter().copied());
-                flat.set_data_weights((0..10).collect());
-                legacy.set_data_weights((0..10).collect());
-                assert_eq!(
-                    flat.build().unwrap(),
-                    legacy.build().unwrap(),
-                    "dedup={dedup} workers={workers}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn parallel_transpose_matches_sequential_on_a_large_graph() {
         // Large enough to clear the parallel threshold (2^14 pins).
         let pins_of = |seed: u64, q: u64| -> Vec<u32> {
@@ -822,24 +650,6 @@ mod tests {
             parallel.add_query(pins_of(7, q));
         }
         assert_eq!(baseline.build().unwrap(), parallel.build().unwrap());
-    }
-
-    #[test]
-    #[should_panic(expected = "kernel must be selected before")]
-    fn kernel_cannot_change_after_adding_queries() {
-        let mut b = GraphBuilder::new();
-        b.add_query([0u32]);
-        let _ = b.with_kernel(BuildKernel::Legacy);
-    }
-
-    #[test]
-    #[should_panic(expected = "kernel must be selected before")]
-    fn kernel_cannot_change_after_adding_an_empty_query() {
-        // An empty hyperedge leaves the pin arena empty but has already been assigned an id;
-        // switching kernels afterwards would silently drop it.
-        let mut b = GraphBuilder::new();
-        b.add_query(std::iter::empty::<u32>());
-        let _ = b.with_kernel(BuildKernel::Legacy);
     }
 
     #[test]

@@ -16,14 +16,12 @@
 //!
 //! The text readers are zero-copy: the input is loaded into one byte buffer and scanned in
 //! place (no per-line `String`, no UTF-8 validation, a hand-rolled decimal parser), streaming
-//! records straight into the flat-arena [`GraphBuilder`]. The `_with` variants additionally
-//! split the buffer **at line boundaries** into chunks parsed on real threads and merged in
-//! chunk order — the parsed graph *and* the line numbers of [`GraphError::Parse`] are
-//! bit-identical for every worker count (`tests/parallel_conformance.rs` locks this in).
-//!
-//! The original readers are retained as [`read_edge_list_legacy`] / [`read_hmetis_legacy`]:
-//! they are the conformance oracles the `graph_ingest` bench and the test suite diff the new
-//! pipeline against, exactly like `GainKernel::LegacyHashMap` in `shp-core`.
+//! records straight into the flat-arena [`GraphBuilder`]. [`parse_edge_list_bytes`] and
+//! [`parse_hmetis_bytes`] additionally split the buffer **at line boundaries** into chunks
+//! parsed on real threads and merged in chunk order — the parsed graph *and* the line numbers
+//! of [`GraphError::Parse`] are bit-identical for every worker count, and equal to those of
+//! the per-line `String` readers kept in `shp_bench::oracles::ingest`
+//! (`tests/parallel_conformance.rs` and the `graph_ingest` bench lock this in).
 //!
 //! [`GraphFormat`] resolves a graph file's format from its extension, falling back to
 //! content sniffing (`.shpb` magic, comment style); [`read_graph_file`] composes detection
@@ -40,10 +38,10 @@ pub use shpb::{
 pub use stream::{stream_shpb_file, stream_shpb_file_with, QueryStream, StreamStats};
 
 use crate::bipartite::BipartiteGraph;
-use crate::builder::{BuildKernel, GraphBuilder};
+use crate::builder::GraphBuilder;
 use crate::error::{GraphError, Result};
 use crate::partition::{BucketId, Partition};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
 // ---------------------------------------------------------------------------------------------
@@ -148,7 +146,7 @@ pub fn write_graph_file<P: AsRef<Path>>(
 ) -> Result<()> {
     let _span = shp_telemetry::Span::enter("ingest/write_graph");
     match format {
-        GraphFormat::EdgeList => write_edge_list_file(graph, &path),
+        GraphFormat::EdgeList => write_edge_list(graph, std::fs::File::create(&path)?),
         GraphFormat::Hmetis => write_hmetis_file(graph, &path),
         GraphFormat::Shpb => write_shpb_file(graph, &path),
     }?;
@@ -167,19 +165,14 @@ pub fn write_graph_file<P: AsRef<Path>>(
 // ---------------------------------------------------------------------------------------------
 
 /// Reads a bipartite edge list (`query<TAB or space>data` per line) from a reader.
-pub fn read_edge_list<R: Read>(reader: R) -> Result<BipartiteGraph> {
-    read_edge_list_with(reader, 1)
-}
-
-/// Like [`read_edge_list`], parsing with up to `workers` threads. The result (including
-/// parse-error line numbers) is identical for every worker count.
-pub fn read_edge_list_with<R: Read>(mut reader: R, workers: usize) -> Result<BipartiteGraph> {
+pub fn read_edge_list<R: Read>(mut reader: R) -> Result<BipartiteGraph> {
     let mut bytes = Vec::new();
     reader.read_to_end(&mut bytes)?;
-    parse_edge_list_bytes(&bytes, workers)
+    parse_edge_list_bytes(&bytes, 1)
 }
 
-/// Parses an in-memory edge list with up to `workers` threads.
+/// Parses an in-memory edge list with up to `workers` threads. The result (including
+/// parse-error line numbers) is identical for every worker count.
 pub fn parse_edge_list_bytes(bytes: &[u8], workers: usize) -> Result<BipartiteGraph> {
     let workers = workers.max(1);
     let mut builder = GraphBuilder::new().with_workers(workers);
@@ -225,44 +218,6 @@ pub fn parse_edge_list_bytes(bytes: &[u8], workers: usize) -> Result<BipartiteGr
     builder.build()
 }
 
-/// The original per-line edge-list reader, retained verbatim as the conformance oracle for
-/// the zero-copy pipeline (per-line `String`s, `str::parse`, and the [`BuildKernel::Legacy`]
-/// per-query-`Vec` CSR build).
-pub fn read_edge_list_legacy<R: Read>(reader: R) -> Result<BipartiteGraph> {
-    let reader = BufReader::new(reader);
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let mut parts = trimmed.split_whitespace();
-        let q = parse_u32(parts.next(), idx + 1, "query id")?;
-        let d = parse_u32(parts.next(), idx + 1, "data id")?;
-        if parts.next().is_some() {
-            return Err(GraphError::Parse {
-                line: idx + 1,
-                message: "expected exactly two columns".into(),
-            });
-        }
-        edges.push((q, d));
-    }
-    let mut builder = GraphBuilder::new().with_kernel(BuildKernel::Legacy);
-    builder.add_edges(edges);
-    builder.build()
-}
-
-/// Reads a bipartite edge list from a file path.
-pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<BipartiteGraph> {
-    read_edge_list_file_with(path, 1)
-}
-
-/// Reads a bipartite edge list from a file path with up to `workers` parse threads.
-pub fn read_edge_list_file_with<P: AsRef<Path>>(path: P, workers: usize) -> Result<BipartiteGraph> {
-    parse_edge_list_bytes(&std::fs::read(path)?, workers)
-}
-
 /// Writes a bipartite edge list to a writer.
 pub fn write_edge_list<W: Write>(graph: &BipartiteGraph, writer: W) -> Result<()> {
     let mut w = ByteWriter::new(writer);
@@ -277,11 +232,6 @@ pub fn write_edge_list<W: Write>(graph: &BipartiteGraph, writer: W) -> Result<()
     w.finish()
 }
 
-/// Writes a bipartite edge list to a file path.
-pub fn write_edge_list_file<P: AsRef<Path>>(graph: &BipartiteGraph, path: P) -> Result<()> {
-    write_edge_list(graph, std::fs::File::create(path)?)
-}
-
 // ---------------------------------------------------------------------------------------------
 // hMetis
 // ---------------------------------------------------------------------------------------------
@@ -290,19 +240,14 @@ pub fn write_edge_list_file<P: AsRef<Path>>(graph: &BipartiteGraph, path: P) -> 
 ///
 /// The format is: a header `|Q| |D|`, followed by `|Q|` lines each listing the 1-based data
 /// vertex ids of one hyperedge.
-pub fn read_hmetis<R: Read>(reader: R) -> Result<BipartiteGraph> {
-    read_hmetis_with(reader, 1)
-}
-
-/// Like [`read_hmetis`], parsing with up to `workers` threads. The result (including
-/// parse-error line numbers) is identical for every worker count.
-pub fn read_hmetis_with<R: Read>(mut reader: R, workers: usize) -> Result<BipartiteGraph> {
+pub fn read_hmetis<R: Read>(mut reader: R) -> Result<BipartiteGraph> {
     let mut bytes = Vec::new();
     reader.read_to_end(&mut bytes)?;
-    parse_hmetis_bytes(&bytes, workers)
+    parse_hmetis_bytes(&bytes, 1)
 }
 
-/// Parses an in-memory hMetis document with up to `workers` threads.
+/// Parses an in-memory hMetis document with up to `workers` threads. The result (including
+/// parse-error line numbers) is identical for every worker count.
 pub fn parse_hmetis_bytes(bytes: &[u8], workers: usize) -> Result<BipartiteGraph> {
     let workers = workers.max(1);
 
@@ -336,10 +281,11 @@ pub fn parse_hmetis_bytes(bytes: &[u8], workers: usize) -> Result<BipartiteGraph
     };
 
     // Merge in chunk order, consuming exactly the declared number of hyperedges: records —
-    // and even scan errors — past that count are ignored, like the legacy reader's
-    // early-stop. The offsets reservation is clamped by what the body could possibly hold
-    // (a record is at least two bytes), so a corrupt header count cannot trigger an
-    // enormous allocation — the short file then fails the "expected N hyperedges" check.
+    // and even scan errors — past that count are ignored, like a per-line reader that stops
+    // at the declared count. The offsets reservation is clamped by what the body could
+    // possibly hold (a record is at least two bytes), so a corrupt header count cannot
+    // trigger an enormous allocation — the short file then fails the "expected N
+    // hyperedges" check.
     let plausible_records = num_hyperedges.min(body.len() / 2 + 1);
     let mut builder =
         GraphBuilder::with_capacity(plausible_records, num_vertices).with_workers(workers);
@@ -377,78 +323,9 @@ pub fn parse_hmetis_bytes(bytes: &[u8], workers: usize) -> Result<BipartiteGraph
     builder.build()
 }
 
-/// The original per-line hMetis reader, retained as the conformance oracle (with the
-/// gratuitous `trim().to_string()` allocation in its comment-skipping loop fixed).
-pub fn read_hmetis_legacy<R: Read>(reader: R) -> Result<BipartiteGraph> {
-    let reader = BufReader::new(reader);
-    let mut lines = reader.lines().enumerate();
-
-    // Find the header line (skip comments starting with '%').
-    let (header_line_no, header) = loop {
-        match lines.next() {
-            Some((idx, line)) => {
-                let line = line?;
-                let t = line.trim();
-                if t.is_empty() || t.starts_with('%') {
-                    continue;
-                }
-                break (idx + 1, line);
-            }
-            None => return Err(GraphError::EmptyGraph),
-        }
-    };
-    let mut header_parts = header.split_whitespace();
-    let num_hyperedges =
-        parse_u32(header_parts.next(), header_line_no, "hyperedge count")? as usize;
-    let num_vertices = parse_u32(header_parts.next(), header_line_no, "vertex count")? as usize;
-
-    let mut builder =
-        GraphBuilder::with_capacity(num_hyperedges, num_vertices).with_kernel(BuildKernel::Legacy);
-    let mut read_edges = 0usize;
-    for (idx, line) in lines {
-        if read_edges == num_hyperedges {
-            break;
-        }
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
-        }
-        let mut pins = Vec::new();
-        for token in t.split_whitespace() {
-            let one_based: u32 = token.parse().map_err(|_| GraphError::Parse {
-                line: idx + 1,
-                message: format!("invalid vertex id {token:?}"),
-            })?;
-            if one_based == 0 || one_based as usize > num_vertices {
-                return Err(GraphError::Parse {
-                    line: idx + 1,
-                    message: format!("vertex id {one_based} outside 1..={num_vertices}"),
-                });
-            }
-            pins.push(one_based - 1);
-        }
-        builder.add_query(pins);
-        read_edges += 1;
-    }
-    if read_edges != num_hyperedges {
-        return Err(GraphError::Parse {
-            line: 0,
-            message: format!("expected {num_hyperedges} hyperedges, found {read_edges}"),
-        });
-    }
-    builder.ensure_data_count(num_vertices);
-    builder.build()
-}
-
 /// Reads an hMetis hypergraph from a file path.
 pub fn read_hmetis_file<P: AsRef<Path>>(path: P) -> Result<BipartiteGraph> {
-    read_hmetis_file_with(path, 1)
-}
-
-/// Reads an hMetis hypergraph from a file path with up to `workers` parse threads.
-pub fn read_hmetis_file_with<P: AsRef<Path>>(path: P, workers: usize) -> Result<BipartiteGraph> {
-    parse_hmetis_bytes(&std::fs::read(path)?, workers)
+    parse_hmetis_bytes(&std::fs::read(path)?, 1)
 }
 
 /// Writes a hypergraph in hMetis format.
@@ -627,19 +504,7 @@ impl<W: Write> ByteWriter<W> {
     }
 }
 
-/// Parses a string token (legacy readers), with the original error wording.
-fn parse_u32(token: Option<&str>, line: usize, what: &str) -> Result<u32> {
-    let token = token.ok_or_else(|| GraphError::Parse {
-        line,
-        message: format!("missing {what}"),
-    })?;
-    token.parse().map_err(|_| GraphError::Parse {
-        line,
-        message: format!("invalid {what}: {token:?}"),
-    })
-}
-
-/// Parses a byte token (zero-copy readers), with the same error wording as [`parse_u32`].
+/// Parses a byte token, naming `what` in the error message.
 fn parse_u32_token(token: Option<&[u8]>, line: usize, what: &str) -> Result<u32> {
     let token = token.ok_or_else(|| GraphError::Parse {
         line,
@@ -690,51 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn edge_list_matches_legacy_reader_for_every_worker_count() {
-        let mut text = String::from("# header\n");
-        for q in 0..500u32 {
-            for v in 0..(q % 7 + 1) {
-                text.push_str(&format!("{q}\t{}\n", (q * 31 + v * 17) % 211));
-            }
-        }
-        let legacy = read_edge_list_legacy(text.as_bytes()).unwrap();
-        for workers in [1usize, 2, 4, 8] {
-            let parsed = read_edge_list_with(text.as_bytes(), workers).unwrap();
-            assert_eq!(parsed, legacy, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn edge_list_errors_match_legacy_lines_for_every_worker_count() {
-        let mut text = String::new();
-        for q in 0..300u32 {
-            text.push_str(&format!("{q} {}\n", q % 97));
-        }
-        text.push_str("17 banana\n"); // line 301
-        for q in 0..50u32 {
-            text.push_str(&format!("{q} 1\n"));
-        }
-        let legacy = read_edge_list_legacy(text.as_bytes()).unwrap_err();
-        let GraphError::Parse {
-            line: legacy_line,
-            message: legacy_message,
-        } = legacy
-        else {
-            panic!("expected a parse error");
-        };
-        assert_eq!(legacy_line, 301);
-        for workers in [1usize, 2, 4, 8] {
-            match parse_edge_list_bytes(text.as_bytes(), workers) {
-                Err(GraphError::Parse { line, message }) => {
-                    assert_eq!(line, legacy_line, "workers={workers}");
-                    assert_eq!(message, legacy_message, "workers={workers}");
-                }
-                other => panic!("workers={workers}: expected a parse error, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn hmetis_roundtrip() {
         let g = figure1();
         let mut buf = Vec::new();
@@ -776,64 +596,6 @@ mod tests {
         let g = read_hmetis("% header comment\n2 3\n1 2\n% between\n2 3\n".as_bytes()).unwrap();
         assert_eq!(g.num_queries(), 2);
         assert_eq!(g.query_neighbors(1), &[1, 2]);
-    }
-
-    #[test]
-    fn hmetis_ignores_trailing_lines_like_legacy() {
-        // Garbage after the declared hyperedges must be ignored by both readers.
-        let text = "2 3\n1 2\n2 3\nthis is not a hyperedge\n";
-        let legacy = read_hmetis_legacy(text.as_bytes()).unwrap();
-        for workers in [1usize, 2, 4, 8] {
-            assert_eq!(
-                parse_hmetis_bytes(text.as_bytes(), workers).unwrap(),
-                legacy,
-                "workers={workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn hmetis_matches_legacy_reader_for_every_worker_count() {
-        let g = figure1();
-        let mut buf = Vec::new();
-        write_hmetis(&g, &mut buf).unwrap();
-        let legacy = read_hmetis_legacy(&buf[..]).unwrap();
-        for workers in [1usize, 2, 4, 8] {
-            assert_eq!(
-                parse_hmetis_bytes(&buf, workers).unwrap(),
-                legacy,
-                "workers={workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn hmetis_errors_match_legacy_lines_for_every_worker_count() {
-        let mut text = String::from("% comment\n200 50\n");
-        for q in 0..150u32 {
-            text.push_str(&format!("{} {}\n", q % 50 + 1, (q * 7) % 50 + 1));
-        }
-        text.push_str("3 99\n"); // line 153: vertex 99 outside 1..=50
-        for _ in 0..60 {
-            text.push_str("1 2\n");
-        }
-        let GraphError::Parse {
-            line: legacy_line,
-            message: legacy_message,
-        } = read_hmetis_legacy(text.as_bytes()).unwrap_err()
-        else {
-            panic!("expected a parse error");
-        };
-        assert_eq!(legacy_line, 153);
-        for workers in [1usize, 2, 4, 8] {
-            match parse_hmetis_bytes(text.as_bytes(), workers) {
-                Err(GraphError::Parse { line, message }) => {
-                    assert_eq!(line, legacy_line, "workers={workers}");
-                    assert_eq!(message, legacy_message, "workers={workers}");
-                }
-                other => panic!("workers={workers}: expected a parse error, got {other:?}"),
-            }
-        }
     }
 
     #[test]

@@ -222,20 +222,6 @@ impl ServingEngine {
     /// # Errors
     /// Returns [`ServingError::KeyOutOfRange`] when a key is outside the key universe.
     pub fn multiget(&self, keys: &[DataId]) -> Result<MultigetResult> {
-        self.multiget_impl(keys, false)
-    }
-
-    /// Like [`ServingEngine::multiget`] but scattering the per-shard batches over real scoped
-    /// threads — the literal parallel fan-out a storage tier performs. Prefer `multiget` for
-    /// throughput runs (concurrency across queries amortizes better than per-query spawns).
-    ///
-    /// # Errors
-    /// Same contract as [`ServingEngine::multiget`].
-    pub fn multiget_scatter_gather(&self, keys: &[DataId]) -> Result<MultigetResult> {
-        self.multiget_impl(keys, true)
-    }
-
-    fn multiget_impl(&self, keys: &[DataId], scatter: bool) -> Result<MultigetResult> {
         let generation = self.generation.load();
         let epoch = generation.snapshot.epoch();
 
@@ -298,13 +284,7 @@ impl ServingEngine {
         if !plan.batches.is_empty() {
             let _service = self.service_timer.start();
             let faults = self.faults.as_deref();
-            let fetched = if scatter {
-                generation
-                    .shards
-                    .execute_scatter_gather_with_faults(&plan, faults)?
-            } else {
-                generation.shards.execute_with_faults(&plan, faults)?
-            };
+            let fetched = generation.shards.execute_with_faults(&plan, faults)?;
             latency = latency.max(fetched.latency);
             if self.config.cache_capacity > 0 {
                 for &(key, value) in &fetched.values {
@@ -769,19 +749,6 @@ mod tests {
         )
         .unwrap();
         assert!(cached.multiget(&[99]).is_err());
-    }
-
-    #[test]
-    fn scatter_gather_agrees_with_inline_execution() {
-        let graph = community_graph(4, 8);
-        let engine =
-            ServingEngine::new(&scattered_partition(&graph, 4, 8), EngineConfig::default())
-                .unwrap();
-        let keys: Vec<u32> = (0..32).collect();
-        let inline = engine.multiget(&keys).unwrap();
-        let scattered = engine.multiget_scatter_gather(&keys).unwrap();
-        assert_eq!(inline.values, scattered.values);
-        assert_eq!(inline.fanout, scattered.fanout);
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub use bootstrap::{load_warm_start, load_warm_start_with, WarmStart};
 pub use cache::{CacheStats, HotKeyCache};
 pub use engine::{AccessObserver, EngineConfig, Generation, MultigetResult, ServingEngine};
 pub use error::{Result, ServingError};
-pub use metrics::{LegacyServingMetrics, ServingMetrics, ServingReport};
+pub use metrics::{ServingMetrics, ServingReport};
 pub use partition_map::{EpochSwap, PartitionDelta, PartitionMap, PartitionSnapshot};
 pub use router::{RoutePlan, ShardBatch, ShardRouter};
 pub use store::{value_of, BatchResults, Shard, ShardSet};

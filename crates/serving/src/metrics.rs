@@ -22,15 +22,14 @@
 //! the old implementation returned (values below `2⁻¹⁶` report 0, values at or above `2¹⁶`
 //! clamp). The mean is accumulated in fixed point and is independent of thread interleaving.
 //! Everything else in the report — query counts, the fanout histogram, per-shard request
-//! counts, skew, epochs — is exact. [`LegacyServingMetrics`] keeps the old sorted-vector
-//! implementation as the oracle the conformance tests and the `telemetry_overhead` bench
-//! compare against.
+//! counts, skew, epochs — is exact. The old sorted-vector implementation lives on outside
+//! the shipped crates, in `shp_bench::oracles::metrics`, as the oracle the conformance tests
+//! and the `telemetry_overhead` bench compare against.
 
 use crate::cache::CacheStats;
 use shp_telemetry::{Histogram, IndexedCounter};
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Fanout slots tracked exactly; a larger fanout clamps into the overflow slot. Sized past
 /// any shard count the serving simulations use.
@@ -243,134 +242,6 @@ fn availability(queries: u64, degraded: u64) -> f64 {
     }
 }
 
-#[derive(Debug, Default)]
-struct LegacyInner {
-    fanout_counts: Vec<u64>,
-    latencies: Vec<f64>,
-    shard_requests: Vec<u64>,
-    min_epoch: Option<u64>,
-    max_epoch: Option<u64>,
-}
-
-/// The pre-telemetry implementation: every observation appended to unbounded vectors under a
-/// `Mutex`, percentiles computed from the fully sorted latency list.
-///
-/// Kept (off the serving hot path) as the **exact oracle** for [`ServingMetrics`]: the
-/// conformance tests and the `telemetry_overhead` bench feed both implementations the same
-/// observations and check that exact fields match and percentiles agree to within the
-/// documented ≤1.56% bucket quantization.
-#[derive(Debug, Default)]
-pub struct LegacyServingMetrics {
-    inner: Mutex<LegacyInner>,
-}
-
-impl LegacyServingMetrics {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one served multiget (same contract as [`ServingMetrics::record`], but takes a
-    /// `Mutex` and grows vectors).
-    pub fn record(
-        &self,
-        fanout: u32,
-        num_shards: u32,
-        shards: impl IntoIterator<Item = u32>,
-        latency: f64,
-        epoch: u64,
-    ) {
-        let mut inner = self.inner.lock().expect("metrics poisoned");
-        let f = fanout as usize;
-        if inner.fanout_counts.len() <= f {
-            inner.fanout_counts.resize(f + 1, 0);
-        }
-        inner.fanout_counts[f] += 1;
-        inner.latencies.push(latency);
-        if inner.shard_requests.len() < num_shards as usize {
-            inner.shard_requests.resize(num_shards as usize, 0);
-        }
-        for shard in shards {
-            let s = shard as usize;
-            if inner.shard_requests.len() <= s {
-                inner.shard_requests.resize(s + 1, 0);
-            }
-            inner.shard_requests[s] += 1;
-        }
-        inner.min_epoch = Some(inner.min_epoch.map_or(epoch, |e| e.min(epoch)));
-        inner.max_epoch = Some(inner.max_epoch.map_or(epoch, |e| e.max(epoch)));
-    }
-
-    /// Aggregates into a report with exact sorted-vector percentiles.
-    pub fn report(&self, cache: CacheStats) -> ServingReport {
-        let inner = self.inner.lock().expect("metrics poisoned");
-        let queries: u64 = inner.fanout_counts.iter().sum();
-        let mean_fanout = if queries == 0 {
-            0.0
-        } else {
-            inner
-                .fanout_counts
-                .iter()
-                .enumerate()
-                .map(|(f, &c)| f as f64 * c as f64)
-                .sum::<f64>()
-                / queries as f64
-        };
-        let max_fanout = inner
-            .fanout_counts
-            .iter()
-            .rposition(|&c| c > 0)
-            .unwrap_or(0) as u32;
-
-        let mut sorted = inner.latencies.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let pct = |q: f64| -> f64 {
-            if sorted.is_empty() {
-                return 0.0;
-            }
-            let idx = ((q * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
-            sorted[idx]
-        };
-        let mean_latency = if sorted.is_empty() {
-            0.0
-        } else {
-            sorted.iter().sum::<f64>() / sorted.len() as f64
-        };
-
-        let shard_requests = inner.shard_requests.clone();
-        let busiest = shard_requests.iter().copied().max().unwrap_or(0);
-        let total_requests: u64 = shard_requests.iter().sum();
-        let shard_skew = if total_requests == 0 || shard_requests.is_empty() {
-            0.0
-        } else {
-            busiest as f64 / (total_requests as f64 / shard_requests.len() as f64)
-        };
-
-        ServingReport {
-            queries,
-            mean_fanout,
-            max_fanout,
-            fanout_histogram: inner.fanout_counts.clone(),
-            mean_latency,
-            p50: pct(0.50),
-            p90: pct(0.90),
-            p99: pct(0.99),
-            p999: pct(0.999),
-            shard_requests,
-            shard_skew,
-            cache,
-            min_epoch: inner.min_epoch.unwrap_or(0),
-            max_epoch: inner.max_epoch.unwrap_or(0),
-            // The legacy oracle predates fault injection and never observes faults.
-            degraded_queries: 0,
-            missing_keys: 0,
-            retries: 0,
-            hedges_won: 0,
-            availability: availability(queries, 0),
-        }
-    }
-}
-
 /// Aggregated results of a serving run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
@@ -580,58 +451,5 @@ mod tests {
         assert_eq!(r.queries, 1_000_000);
         assert_eq!(r.shard_requests.iter().sum::<u64>(), 1_000_000);
         assert_eq!((r.min_epoch, r.max_epoch), (0, 9));
-    }
-
-    /// Feeds the same observation stream into the lock-free implementation and the legacy
-    /// sorted-vector oracle and checks the documented conformance contract.
-    #[test]
-    fn report_conforms_to_the_legacy_oracle_within_quantization() {
-        let new = ServingMetrics::new();
-        let old = LegacyServingMetrics::new();
-        // A deterministic skewed latency stream over 8 shards.
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        for i in 0..20_000u64 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let fanout = 1 + (state % 8) as u32;
-            let shards: Vec<u32> = (0..fanout).map(|s| (s + (i % 8) as u32) % 8).collect();
-            let latency = 0.2 + (state % 10_000) as f64 / 500.0;
-            let epoch = i / 5_000;
-            new.record(fanout, 8, shards.iter().copied(), latency, epoch);
-            old.record(fanout, 8, shards.iter().copied(), latency, epoch);
-        }
-        let n = new.report(CacheStats::default());
-        let o = old.report(CacheStats::default());
-
-        // Exact fields are bit-identical.
-        assert_eq!(n.queries, o.queries);
-        assert_eq!(n.fanout_histogram, o.fanout_histogram);
-        assert_eq!(n.max_fanout, o.max_fanout);
-        assert_eq!(n.mean_fanout, o.mean_fanout);
-        assert_eq!(n.shard_requests, o.shard_requests);
-        assert_eq!(n.shard_skew, o.shard_skew);
-        assert_eq!((n.min_epoch, n.max_epoch), (o.min_epoch, o.max_epoch));
-        // With no faults recorded the fault fields agree bit-for-bit, availability included.
-        assert_eq!(n.degraded_queries, o.degraded_queries);
-        assert_eq!(n.availability, o.availability);
-        assert_eq!(n.availability, 1.0);
-
-        // Latency aggregates obey the quantization contract: each percentile is the lower
-        // bucket edge of the oracle's exact value.
-        let bound = shp_telemetry::histogram::QUANTIZATION_ERROR;
-        for (quantized, exact) in [
-            (n.p50, o.p50),
-            (n.p90, o.p90),
-            (n.p99, o.p99),
-            (n.p999, o.p999),
-        ] {
-            assert!(
-                quantized <= exact && exact <= quantized * (1.0 + bound) + 1e-12,
-                "quantized {quantized} vs exact {exact}"
-            );
-        }
-        // The fixed-point mean resolves to 2^-14 per observation.
-        assert!((n.mean_latency - o.mean_latency).abs() < 1e-3);
     }
 }

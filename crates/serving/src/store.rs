@@ -319,39 +319,6 @@ impl ShardSet {
         Ok(results)
     }
 
-    /// [`ShardSet::execute_with_faults`] with one work unit per contacted shard — the literal
-    /// scatter-gather a real storage tier performs, dispatched through the rayon shim's pool
-    /// and gathered in batch order, so the value list is identical to the sequential path's.
-    /// Useful for demonstrations and tests; for high-throughput replay prefer the sequential
-    /// path under concurrent clients, which avoids per-query dispatch. Concurrent batches
-    /// whose failover reaches the same replica may take that replica's draws in either
-    /// order, so latency determinism under active faults is only guaranteed for the
-    /// sequential path; coverage and values are deterministic on both.
-    ///
-    /// # Errors
-    /// Same contract as [`ShardSet::execute_with_faults`].
-    pub fn execute_scatter_gather_with_faults(
-        &self,
-        plan: &RoutePlan,
-        faults: Option<&FaultInjector>,
-    ) -> Result<BatchResults> {
-        let faults = faults.map(|inj| (inj, inj.begin_query()));
-        let batches: Vec<&ShardBatch> = plan.batches.iter().collect();
-        let served = rayon::pool::map_vec(batches, plan.batches.len(), |_, batch| {
-            let mut out = Vec::with_capacity(batch.keys.len());
-            let outcome = self.serve_batch(batch, faults, &mut out)?;
-            Ok((out, outcome))
-        });
-        let mut results = BatchResults::with_capacity(plan.num_keys());
-        for (batch, served) in plan.batches.iter().zip(served) {
-            let (mut out, outcome) = served?;
-            results.values.append(&mut out);
-            results.add(batch, outcome);
-        }
-        results.missing.sort_unstable();
-        Ok(results)
-    }
-
     /// Serves one batch into `values`, walking its replica chain under the injector and
     /// query tick in `faults`.
     ///
@@ -492,19 +459,6 @@ mod tests {
             assert_eq!(v, value_of(k));
         }
         assert!(results.latency > 0.0);
-    }
-
-    #[test]
-    fn scatter_gather_matches_sequential_coverage() {
-        let snap = snapshot(4, (0..64).map(|v| v % 4).collect());
-        let set = ShardSet::build(&snap, LatencyModel::default(), 3);
-        let keys: Vec<u32> = (0..64).collect();
-        let plan = ShardRouter::new().route(&snap, &keys).unwrap();
-        let results = set.execute_scatter_gather_with_faults(&plan, None).unwrap();
-        assert_eq!(results.values.len(), 64);
-        let mut seen: Vec<u32> = results.values.iter().map(|&(k, _)| k).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, keys);
     }
 
     #[test]
@@ -687,29 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_gather_with_faults_matches_sequential_coverage() {
-        use shp_faults::{FaultInjector, FaultPlan};
-        let snap = snapshot(4, (0..64).map(|v| v % 4).collect());
-        let set = ShardSet::build_replicated(&snap, LatencyModel::default(), 3, 2);
-        let seq_inj = FaultInjector::new(FaultPlan::new().crash(1, 0), 7);
-        let par_inj = FaultInjector::new(FaultPlan::new().crash(1, 0), 7);
-        let keys: Vec<u32> = (0..64).collect();
-        let plan = ShardRouter::new().route(&snap, &keys).unwrap();
-        let seq = set.execute_with_faults(&plan, Some(&seq_inj)).unwrap();
-        let par = set
-            .execute_scatter_gather_with_faults(&plan, Some(&par_inj))
-            .unwrap();
-        assert_eq!(seq.missing, par.missing);
-        assert_eq!(seq.retries, par.retries);
-        let sort = |r: &BatchResults| {
-            let mut v = r.values.clone();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(sort(&seq), sort(&par));
-    }
-
-    #[test]
     fn service_times_are_keyed_by_epoch_and_request_count() {
         let snap = snapshot(2, vec![0, 1]);
         let plan = ShardRouter::new().route(&snap, &[0]).unwrap();
@@ -736,15 +667,13 @@ mod tests {
         assert_ne!(latencies(&next), a);
     }
 
-    /// Runs `plan` the four ways a plan can execute: sequential or scattered, each without an
-    /// injector and with an empty-plan one.
+    /// Runs `plan` the two ways a plan can execute: without an injector and with an
+    /// empty-plan one.
     fn execute_every_way(set: &ShardSet, plan: &RoutePlan) -> Vec<Result<BatchResults>> {
         let inj = FaultInjector::new(shp_faults::FaultPlan::new(), 1);
         vec![
             set.execute_with_faults(plan, None),
             set.execute_with_faults(plan, Some(&inj)),
-            set.execute_scatter_gather_with_faults(plan, None),
-            set.execute_scatter_gather_with_faults(plan, Some(&inj)),
         ]
     }
 
@@ -785,7 +714,7 @@ mod tests {
             assert!(result.missing.is_empty());
             assert!(result.latency > 0.0);
         }
-        assert_eq!(set.shard_requests(), vec![0, 4]);
+        assert_eq!(set.shard_requests(), vec![0, 2]);
         assert_eq!(set.shard_keys_served(), vec![0, 0]);
     }
 

@@ -18,12 +18,15 @@
 use proptest::prelude::*;
 use shp::baselines::full_registry;
 use shp::core::api::{NoopObserver, PartitionOutcome, PartitionSpec, TraceObserver};
-use shp::core::gains::{self, GainKernel, TargetConstraint};
+use shp::core::gains::{self, TargetConstraint};
 use shp::core::{
     partition_direct, BalanceMode, NeighborData, Objective, Refiner, ShpConfig, SwapStrategy,
 };
 use shp::datagen::{planted_partition, power_law_bipartite, PlantedConfig, PowerLawConfig};
-use shp::hypergraph::{BipartiteGraph, Partition};
+use shp::hypergraph::{BipartiteGraph, GraphBuilder, Partition};
+use shp_bench::conformance::checked_full_rescan;
+use shp_bench::oracles;
+use shp_bench::oracles::gains::{proposal_bits, ProposalBits};
 
 /// Worker counts every comparison runs at: the fixed `{1, 2, 4, 8}` ladder plus the value of
 /// `SHP_TEST_WORKERS` when set (deduplicated), so the CI matrix can force extra counts.
@@ -151,8 +154,9 @@ fn iteration_traces_are_identical_across_worker_counts() {
 
 /// Scratch-vs-legacy gain-kernel oracle: on both fixed-seed graphs, under both constraint
 /// shapes, the dense-scratch kernel must emit a **bit-identical** `MoveProposal` list
-/// (vertices, buckets, and gain float bits) to the retained hash-map kernel, for every worker
-/// count and with non-positive proposals both included and excluded.
+/// (vertices, buckets, and gain float bits) to the hash-map kernel of
+/// `shp_bench::oracles::gains`, for every worker count and with non-positive proposals both
+/// included and excluded.
 #[test]
 fn scratch_kernel_proposals_are_bit_identical_to_legacy() {
     for (graph_name, graph, k) in [
@@ -169,32 +173,35 @@ fn scratch_kernel_proposals_are_bit_identical_to_legacy() {
             TargetConstraint::sibling_groups(&sibling_groups),
         ] {
             for include_nonpositive in [false, true] {
-                let mut baseline: Option<Vec<(u32, u32, u32, u64)>> = None;
+                let expected: Vec<ProposalBits> = oracles::gains::compute_proposals(
+                    &objective,
+                    &graph,
+                    &partition,
+                    &nd,
+                    &constraint,
+                    include_nonpositive,
+                )
+                .iter()
+                .map(proposal_bits)
+                .collect();
                 for &workers in &worker_counts() {
-                    for kernel in [GainKernel::Scratch, GainKernel::LegacyHashMap] {
-                        let proposals = gains::compute_proposals_with_kernel(
-                            &objective,
-                            &graph,
-                            &partition,
-                            &nd,
-                            &constraint,
-                            include_nonpositive,
-                            workers,
-                            kernel,
-                        );
-                        let fp: Vec<(u32, u32, u32, u64)> = proposals
-                            .iter()
-                            .map(|p| (p.vertex, p.from, p.to, p.gain.to_bits()))
-                            .collect();
-                        match &baseline {
-                            None => baseline = Some(fp),
-                            Some(expected) => assert_eq!(
-                                &fp, expected,
-                                "{graph_name}: {kernel:?} diverged at workers={workers}, \
-                                 include_nonpositive={include_nonpositive}"
-                            ),
-                        }
-                    }
+                    let proposals: Vec<ProposalBits> = gains::compute_proposals(
+                        &objective,
+                        &graph,
+                        &partition,
+                        &nd,
+                        &constraint,
+                        include_nonpositive,
+                        workers,
+                    )
+                    .iter()
+                    .map(proposal_bits)
+                    .collect();
+                    assert_eq!(
+                        proposals, expected,
+                        "{graph_name}: scratch kernel diverged at workers={workers}, \
+                         include_nonpositive={include_nonpositive}"
+                    );
                 }
             }
         }
@@ -202,9 +209,10 @@ fn scratch_kernel_proposals_are_bit_identical_to_legacy() {
 }
 
 /// Dirty-set-vs-full-rescan oracle over complete refinement runs: for both graphs, both swap
-/// strategies, and every worker count, the optimized pipeline (scratch kernel + dirty-vertex
-/// active set) must reproduce the legacy pipeline (hash-map kernel + full rescan) exactly —
-/// partitions equal, per-iteration stats equal including float bits.
+/// strategies, and every worker count, the shipped pipeline (scratch kernel + dirty-vertex
+/// active set, [`Refiner::run`]) must reproduce a full rescan every iteration exactly —
+/// partitions equal, per-iteration stats equal including float bits — and that full rescan's
+/// proposals must equal the hash-map oracle's before every iteration ([`checked_full_rescan`]).
 #[test]
 fn dirty_set_refinement_is_bit_identical_to_legacy_full_rescan() {
     for (graph_name, graph, k) in [
@@ -215,30 +223,30 @@ fn dirty_set_refinement_is_bit_identical_to_legacy_full_rescan() {
             let mut rng = rand::SeedableRng::seed_from_u64(77);
             let initial =
                 Partition::new_random(&graph, k, &mut rng as &mut rand_pcg::Pcg64).unwrap();
+            let constraint = TargetConstraint::all(k);
             type RunFingerprint = (Partition, Vec<(usize, usize, u64, u64)>);
             let mut baseline: Option<RunFingerprint> = None;
             for &workers in &worker_counts() {
-                for (dirty, kernel) in [
-                    (true, GainKernel::Scratch),
-                    (false, GainKernel::Scratch),
-                    (false, GainKernel::LegacyHashMap),
-                ] {
+                let refiner = Refiner::new(
+                    &graph,
+                    Objective::PFanout { p: 0.5 },
+                    constraint.clone(),
+                    strategy,
+                    BalanceMode::Expectation,
+                    false,
+                    0.05,
+                    77,
+                )
+                .with_workers(workers);
+                let dirty = {
                     let mut partition = initial.clone();
                     let mut nd = NeighborData::build(&graph, &partition);
-                    let refiner = Refiner::new(
-                        &graph,
-                        Objective::PFanout { p: 0.5 },
-                        TargetConstraint::all(k),
-                        strategy,
-                        BalanceMode::Expectation,
-                        false,
-                        0.05,
-                        77,
-                    )
-                    .with_workers(workers)
-                    .with_dirty_set(dirty)
-                    .with_kernel(kernel);
                     let history = refiner.run(&mut partition, &mut nd, 6, 0.0);
+                    (partition, history)
+                };
+                let full =
+                    checked_full_rescan(&graph, &refiner, &constraint, workers, &initial, 6, 0.0);
+                for (path, (partition, history)) in [("dirty set", dirty), ("full rescan", full)] {
                     let stats: Vec<(usize, usize, u64, u64)> = history
                         .iter()
                         .map(|s| {
@@ -256,12 +264,12 @@ fn dirty_set_refinement_is_bit_identical_to_legacy_full_rescan() {
                             assert_eq!(
                                 &partition, p,
                                 "{graph_name}/{strategy:?}: partition diverged \
-                                 (workers={workers}, dirty={dirty}, kernel={kernel:?})"
+                                 (workers={workers}, {path})"
                             );
                             assert_eq!(
                                 &stats, st,
                                 "{graph_name}/{strategy:?}: stats diverged \
-                                 (workers={workers}, dirty={dirty}, kernel={kernel:?})"
+                                 (workers={workers}, {path})"
                             );
                         }
                     }
@@ -272,8 +280,9 @@ fn dirty_set_refinement_is_bit_identical_to_legacy_full_rescan() {
 }
 
 /// Registry-level oracle for the shared refinement engine: the public `shpk` entry point
-/// (scratch kernel + dirty set, as shipped) must produce exactly the partition that the
-/// legacy pipeline produces when run step-by-step from the same seeded initial partition.
+/// (scratch kernel + dirty set, as shipped) must produce exactly the partition that a full
+/// rescan every iteration produces when run step-by-step from the same seeded initial
+/// partition, with the hash-map oracle's proposals before every iteration.
 #[test]
 fn shpk_outcome_equals_manually_run_legacy_pipeline() {
     let graph = planted_graph();
@@ -282,25 +291,26 @@ fn shpk_outcome_equals_manually_run_legacy_pipeline() {
         .with_max_iterations(5);
     let new_path = partition_direct(&graph, &config).expect("valid config");
 
-    // Reconstruct partition_direct by hand with the legacy kernel and full rescans.
+    // Reconstruct partition_direct by hand with checked full rescans.
     let mut rng = rand::SeedableRng::seed_from_u64(0x5047);
-    let mut partition = Partition::new_random(&graph, 4, &mut rng as &mut rand_pcg::Pcg64).unwrap();
-    let mut nd = NeighborData::build(&graph, &partition);
+    let initial = Partition::new_random(&graph, 4, &mut rng as &mut rand_pcg::Pcg64).unwrap();
+    let constraint = TargetConstraint::all(4);
     let refiner = Refiner::new(
         &graph,
         Objective::PFanout { p: 0.5 },
-        TargetConstraint::all(4),
+        constraint.clone(),
         config.swap_strategy,
         config.balance_mode,
         config.allow_imbalanced_moves,
         config.epsilon,
         config.seed,
-    )
-    .with_dirty_set(false)
-    .with_kernel(GainKernel::LegacyHashMap);
-    let history = refiner.run(
-        &mut partition,
-        &mut nd,
+    );
+    let (partition, history) = checked_full_rescan(
+        &graph,
+        &refiner,
+        &constraint,
+        1,
+        &initial,
         config.max_iterations,
         config.convergence_threshold,
     );
@@ -419,15 +429,15 @@ fn ingest_fixtures() -> Vec<(&'static str, Vec<u8>, Vec<u8>)> {
     .collect()
 }
 
-/// The zero-copy chunked parsers must produce **byte-identical graphs** to the retained
-/// legacy readers (per-line `String`s + the `BuildKernel::Legacy` per-query-`Vec` CSR build)
-/// for every worker count, on both text formats.
+/// The zero-copy chunked parsers must produce **byte-identical graphs** to the per-line
+/// `String` readers of `shp_bench::oracles::ingest` (with their per-query-`Vec` CSR build) for
+/// every worker count, on both text formats.
 #[test]
 fn parallel_parsing_is_bit_identical_to_the_legacy_readers() {
     use shp::hypergraph::io;
     for (name, edge_list, hmetis) in ingest_fixtures() {
-        let edge_oracle = io::read_edge_list_legacy(&edge_list[..]).unwrap();
-        let hmetis_oracle = io::read_hmetis_legacy(&hmetis[..]).unwrap();
+        let edge_oracle = oracles::ingest::read_edge_list(&edge_list[..]).unwrap();
+        let hmetis_oracle = oracles::ingest::read_hmetis(&hmetis[..]).unwrap();
         for workers in worker_counts() {
             assert_eq!(
                 io::parse_edge_list_bytes(&edge_list, workers).unwrap(),
@@ -444,16 +454,14 @@ fn parallel_parsing_is_bit_identical_to_the_legacy_readers() {
 }
 
 /// On malformed input, every worker count must report the **same `GraphError::Parse` line
-/// number and message** as the sequential legacy reader — chunked parsing merges results in
+/// number and message** as the sequential per-line reader — chunked parsing merges results in
 /// chunk order precisely so errors stay deterministic.
 #[test]
 fn parallel_parse_errors_carry_identical_line_numbers() {
     use shp::hypergraph::io;
     use shp::hypergraph::GraphError;
 
-    let parse_failure = |result: Result<shp::hypergraph::BipartiteGraph, GraphError>,
-                         context: &str|
-     -> (usize, String) {
+    let parse_failure = |result: Result<(), GraphError>, context: &str| -> (usize, String) {
         match result {
             Err(GraphError::Parse { line, message }) => (line, message),
             other => panic!("{context}: expected a parse error, got {other:?}"),
@@ -482,17 +490,17 @@ fn parallel_parse_errors_carry_identical_line_numbers() {
         corrupt(&mut hmetis, b"7 0 3");
 
         let edge_expected = parse_failure(
-            io::read_edge_list_legacy(&edge_list[..]),
+            oracles::ingest::read_edge_list(&edge_list[..]).map(drop),
             &format!("{name}: legacy edge list"),
         );
         let hmetis_expected = parse_failure(
-            io::read_hmetis_legacy(&hmetis[..]),
+            oracles::ingest::read_hmetis(&hmetis[..]).map(drop),
             &format!("{name}: legacy hmetis"),
         );
         for workers in worker_counts() {
             assert_eq!(
                 parse_failure(
-                    io::parse_edge_list_bytes(&edge_list, workers),
+                    io::parse_edge_list_bytes(&edge_list, workers).map(drop),
                     &format!("{name}: edge list workers={workers}"),
                 ),
                 edge_expected,
@@ -500,7 +508,7 @@ fn parallel_parse_errors_carry_identical_line_numbers() {
             );
             assert_eq!(
                 parse_failure(
-                    io::parse_hmetis_bytes(&hmetis, workers),
+                    io::parse_hmetis_bytes(&hmetis, workers).map(drop),
                     &format!("{name}: hmetis workers={workers}"),
                 ),
                 hmetis_expected,
@@ -511,15 +519,16 @@ fn parallel_parse_errors_carry_identical_line_numbers() {
 }
 
 /// The flat-arena builder's parallel CSR assembly (counting-sort + partitioned transpose)
-/// must be bit-identical across worker counts and to the legacy per-query-`Vec` kernel.
+/// must be bit-identical across worker counts and to the per-query-`Vec` build of
+/// `shp_bench::oracles::ingest`.
 #[test]
 fn flat_builder_csr_is_bit_identical_across_workers_and_kernels() {
-    use shp::hypergraph::{BuildKernel, GraphBuilder};
+    use shp_bench::oracles::ingest::ReferenceBuilder;
     let source = power_law_graph();
     let oracle = {
-        let mut b = GraphBuilder::new().with_kernel(BuildKernel::Legacy);
+        let mut b = ReferenceBuilder::new();
         for q in source.queries() {
-            b.add_query_slice(source.query_neighbors(q));
+            b.add_query(source.query_neighbors(q).iter().copied());
         }
         b.ensure_data_count(source.num_data());
         b.build().unwrap()

@@ -2,10 +2,13 @@
 //! hypergraphs and configurations, checked with proptest.
 
 use proptest::prelude::*;
+use shp::core::gains::{self, GainKernel, TargetConstraint};
 use shp::core::{partition_direct, partition_recursive, NeighborData, Objective, ShpConfig};
 use shp::hypergraph::{
     average_fanout, average_p_fanout, io, metrics, weighted_edge_cut, GraphBuilder, Partition,
 };
+use shp_bench::oracles;
+use shp_bench::oracles::gains::{proposal_bits, ProposalBits};
 
 /// Strategy: an arbitrary small hypergraph as a list of hyperedges over up to `max_data`
 /// vertices.
@@ -217,7 +220,7 @@ proptest! {
         let mut hmetis = Vec::new();
         io::write_hmetis(&graph, &mut hmetis).unwrap();
         prop_assert_eq!(&io::read_hmetis(&hmetis[..]).unwrap(), &graph);
-        prop_assert_eq!(&io::read_hmetis_legacy(&hmetis[..]).unwrap(), &graph);
+        prop_assert_eq!(&oracles::ingest::read_hmetis(&hmetis[..]).unwrap(), &graph);
         for workers in [2usize, 4, 8] {
             prop_assert_eq!(&io::parse_hmetis_bytes(&hmetis, workers).unwrap(), &graph);
         }
@@ -257,7 +260,7 @@ proptest! {
         io::write_edge_list(&graph, &mut text).unwrap();
         let parsed = io::read_edge_list(&text[..]).unwrap();
         prop_assert_eq!(&parsed, &normalized);
-        prop_assert_eq!(&io::read_edge_list_legacy(&text[..]).unwrap(), &normalized);
+        prop_assert_eq!(&oracles::ingest::read_edge_list(&text[..]).unwrap(), &normalized);
         for workers in [2usize, 4, 8] {
             prop_assert_eq!(&io::parse_edge_list_bytes(&text, workers).unwrap(), &normalized);
         }
@@ -265,5 +268,86 @@ proptest! {
         let mut text_again = Vec::new();
         io::write_edge_list(&parsed, &mut text_again).unwrap();
         prop_assert_eq!(&text, &text_again, "edge-list writing must be deterministic");
+    }
+}
+
+proptest! {
+    // Eleven independent dimensions: more cases than the block above.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The scratch gain kernel proposes exactly what the hash-map kernel of
+    /// `shp_bench::oracles::gains` proposes — vertex, from, to and gain bits — on random small
+    /// graphs with isolated vertices, under all four objectives (`FinalPFanout` is what SHP-2
+    /// runs under sibling constraints at every level but the last), `All` with k at or above
+    /// the bucket count or random sibling groups of arity 2–4 (leftover buckets ungrouped), a
+    /// least-loaded bucket that is touched, untouched or out of range (`u32::MAX` included),
+    /// both proposal filters, and 1–4 workers.
+    #[test]
+    fn scratch_gain_kernel_matches_the_hash_map_oracle(
+        edges in arb_hypergraph(30, 24),
+        isolated in 0usize..4,
+        k in 2u32..9,
+        objective_choice in 0u32..4,
+        (p, t) in (0.05f64..0.95, 2u32..9),
+        shape in 0usize..4,
+        extra_k in 0u32..3,
+        least_loaded in 0u32..14,
+        include in 0u32..2,
+        workers in 1usize..5,
+        seed in 0u64..1000,
+    ) {
+        let mut builder = GraphBuilder::new();
+        for pins in edges {
+            builder.add_query(pins);
+        }
+        builder.ensure_data_count(builder.num_data() + isolated);
+        let graph = builder.build().unwrap();
+        let mut rng: rand_pcg::Pcg64 = rand::SeedableRng::seed_from_u64(seed);
+        let partition = Partition::new_random(&graph, k, &mut rng).unwrap();
+        let nd = NeighborData::build(&graph, &partition);
+        let objective = match objective_choice {
+            0 => Objective::Fanout,
+            1 => Objective::PFanout { p },
+            2 => Objective::CliqueNet,
+            _ => Objective::FinalPFanout { p, t },
+        };
+        let constraint = if shape == 0 {
+            TargetConstraint::all(k + extra_k)
+        } else {
+            let mut buckets: Vec<u32> = (0..k).collect();
+            rand::seq::SliceRandom::shuffle(&mut buckets[..], &mut rng);
+            let groups: Vec<Vec<u32>> =
+                buckets.chunks_exact(shape + 1).map(<[u32]>::to_vec).collect();
+            TargetConstraint::sibling_groups(&groups)
+        };
+        let least_loaded = if least_loaded == 13 { u32::MAX } else { least_loaded };
+        let include_nonpositive = include == 1;
+
+        let scratch: Vec<ProposalBits> = gains::compute_proposals(
+            &objective, &graph, &partition, &nd, &constraint, include_nonpositive, workers,
+        )
+        .iter()
+        .map(proposal_bits)
+        .collect();
+        let oracle: Vec<ProposalBits> = oracles::gains::compute_proposals(
+            &objective, &graph, &partition, &nd, &constraint, include_nonpositive,
+        )
+        .iter()
+        .map(proposal_bits)
+        .collect();
+        prop_assert_eq!(scratch, oracle);
+
+        let vertices: Vec<u32> = graph.data_vertices().collect();
+        let bits = |proposals: Vec<Option<gains::MoveProposal>>| -> Vec<Option<ProposalBits>> {
+            proposals.iter().map(|p| p.as_ref().map(proposal_bits)).collect()
+        };
+        let scratch = gains::compute_proposals_for(
+            &objective, &graph, &partition, &nd, &constraint, least_loaded, &vertices, workers,
+            GainKernel::Scratch,
+        );
+        let oracle = oracles::gains::compute_proposals_for(
+            &objective, &graph, &partition, &nd, &constraint, least_loaded, &vertices,
+        );
+        prop_assert_eq!(bits(scratch), bits(oracle));
     }
 }
