@@ -10,16 +10,19 @@ use shp_hypergraph::{BipartiteGraph, Partition};
 /// Refines from `start` with a full gain rescan every iteration ([`Refiner::run_iteration`],
 /// a fresh `ActiveSet` each time), stopping like [`Refiner::run`] once the moved fraction drops
 /// below `threshold`. Before every iteration it asserts that the scratch kernel's proposal for
-/// every vertex, which is what that iteration's rescan computes, equals the hash-map oracle's
-/// bit for bit. So a run equal to this one equals, by induction over the iterations, the
-/// pipeline that runs the hash-map kernel with a full rescan every iteration.
+/// every vertex equals the hash-map oracle's bit for bit, and after it that the iteration left
+/// the partition and `IterationStats` (float bits included) that
+/// [`oracles::refinement::run_iteration`] leaves from the same state. So a run equal to this
+/// one equals, by induction over the iterations, the pre-cache pipeline that runs the hash-map
+/// kernel with a full rescan every iteration.
 ///
 /// `constraint` must be the one `refiner` was built with; `workers` is the worker count the
 /// scratch proposals are computed with.
 ///
 /// # Panics
 ///
-/// When the scratch proposals differ from the oracle's before some iteration.
+/// When the scratch proposals differ from the oracle's before some iteration, or an
+/// iteration's outcome differs from the oracle iteration's.
 pub fn checked_full_rescan(
     graph: &BipartiteGraph,
     refiner: &Refiner<'_>,
@@ -66,7 +69,21 @@ pub fn checked_full_rescan(
             bits(oracle),
             "iteration {iteration}: scratch proposals diverged from the hash-map kernel"
         );
+        let mut oracle_partition = partition.clone();
+        let mut oracle_nd = nd.clone();
+        let oracle_stats = oracles::refinement::run_iteration(
+            graph,
+            refiner,
+            &mut oracle_partition,
+            &mut oracle_nd,
+            iteration,
+        );
         let stats = refiner.run_iteration(&mut partition, &mut nd, iteration);
+        assert_eq!(
+            (&partition, stats_bits(&stats)),
+            (&oracle_partition, stats_bits(&oracle_stats)),
+            "iteration {iteration}: the refiner's iteration diverged from the oracle iteration"
+        );
         let converged = stats.moved_fraction < threshold;
         history.push(stats);
         if converged {
@@ -74,4 +91,17 @@ pub fn checked_full_rescan(
         }
     }
     (partition, history)
+}
+
+/// An iteration's statistics with every float as its bits.
+fn stats_bits(s: &IterationStats) -> (usize, usize, usize, u64, u64, u64, usize) {
+    (
+        s.iteration,
+        s.candidates,
+        s.moved,
+        s.moved_fraction.to_bits(),
+        s.applied_gain.to_bits(),
+        s.fanout_after.to_bits(),
+        s.stranded,
+    )
 }

@@ -8,6 +8,9 @@
 //! * [`ingest`] — the per-query-`Vec` CSR build and the per-line `String` edge-list and
 //!   hMetis readers, against `GraphBuilder`'s flat arena and the zero-copy parallel parsers
 //!   (identical graphs, identical parse-error lines and messages);
+//! * [`refinement`] — one refinement iteration from a full hash-map-kernel rescan, with the
+//!   penalty, binning and coins done per proposal, against `shp_core::Refiner`'s cached
+//!   standings and one-pass assembly (identical partitions and `IterationStats` bits);
 //! * [`metrics`] — the `Mutex<Vec>` serving metrics with exact sorted-vector percentiles,
 //!   against the lock-free `shp_serving::ServingMetrics` (exact fields equal, percentiles
 //!   within the documented quantization bound).
@@ -21,3 +24,4 @@
 pub mod gains;
 pub mod ingest;
 pub mod metrics;
+pub mod refinement;

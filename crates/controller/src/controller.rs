@@ -132,6 +132,8 @@ impl RepartitionController {
     }
 
     /// Runs one epoch against `engine`: observe → repartition → install delta → reset trace.
+    /// Records a `controller/epoch` span with `observe`, `incremental`, `delta` and `install`
+    /// children.
     ///
     /// Returns `Ok(None)` when the reservoir held no usable co-access samples (nothing to
     /// decide on — the collector keeps accumulating). An epoch whose refinement moves nothing
@@ -142,7 +144,12 @@ impl RepartitionController {
     /// balance repair, and any graph/serving failure. On error the trace is *not* reset, so
     /// no observation is lost.
     pub fn run_epoch(&mut self, engine: &ServingEngine) -> ShpResult<Option<EpochOutcome>> {
-        let Some(graph) = self.collector.observed_graph(engine.num_keys())? else {
+        let span = shp_telemetry::Span::enter("controller/epoch");
+        let observed = {
+            let _observe = span.child("observe");
+            self.collector.observed_graph(engine.num_keys())?
+        };
+        let Some(graph) = observed else {
             return Ok(None);
         };
         let snapshot = engine.current_snapshot();
@@ -159,16 +166,25 @@ impl RepartitionController {
             max_moved_fraction: 1.0,
             max_moves: Some(self.config.migration_budget),
         };
-        let result = partition_incremental(&graph, &shp, &incremental, &live)?;
+        let result = {
+            let _incremental = span.child("incremental");
+            partition_incremental(&graph, &shp, &incremental, &live)?
+        };
         let fanout_after = shp_hypergraph::average_fanout(&graph, &result.partition);
 
-        let delta = PartitionDelta::between(&snapshot, &result.partition)
-            .map_err(shp_core::ShpError::from)?;
+        let delta = {
+            let _delta = span.child("delta");
+            PartitionDelta::between(&snapshot, &result.partition)
+                .map_err(shp_core::ShpError::from)?
+        };
         debug_assert!(delta.len() <= self.config.migration_budget);
         let moved_keys = delta.len();
-        let epoch = engine
-            .install_delta(&delta)
-            .map_err(shp_core::ShpError::from)?;
+        let epoch = {
+            let _install = span.child("install");
+            engine
+                .install_delta(&delta)
+                .map_err(shp_core::ShpError::from)?
+        };
         self.collector.reset();
         self.cumulative_moved += moved_keys;
         self.epochs_run += 1;

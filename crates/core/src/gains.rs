@@ -182,6 +182,83 @@ impl GainScratch {
     }
 }
 
+/// Marks "no target" in a [`Standing`].
+pub(crate) const NO_TARGET: BucketId = BucketId::MAX;
+
+/// A vertex's best move before the least-loaded bucket is resolved: the best target among the
+/// buckets its queries touch (its siblings under `Siblings`) with that gain, and under `All`
+/// its base gain — the gain of moving to a bucket none of its queries touches — plus whether
+/// the least-loaded bucket it was computed against is one of the touched buckets.
+///
+/// Only `least_loaded_touched` depends on the least-loaded bucket, and [`Standing::resolve`]
+/// reads it only when the best touched gain does not strictly exceed the base gain: a bucket
+/// none of the vertex's queries touches can then tie or beat the touched target.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Standing {
+    /// Best touched (or sibling) target, [`NO_TARGET`] when there is none.
+    pub(crate) to: BucketId,
+    /// Whether the vertex's queries touch the least-loaded bucket passed to the kernel.
+    pub(crate) least_loaded_touched: bool,
+    /// Gain of moving to `to`.
+    pub(crate) gain: f64,
+    /// Gain of moving to an untouched bucket (`All` only).
+    pub(crate) base_gain: f64,
+}
+
+impl Standing {
+    /// No admissible target. Under `All` this is also the standing of a vertex without
+    /// queries: no touched bucket, and the empty sum −0.0 as its base gain.
+    pub(crate) const NONE: Standing = Standing {
+        to: NO_TARGET,
+        least_loaded_touched: false,
+        gain: 0.0,
+        base_gain: -0.0,
+    };
+
+    /// Whether this standing's move can change with the least-loaded bucket: it has a touched
+    /// target whose gain does not strictly exceed the base gain. (Without a touched target
+    /// the untouched least-loaded bucket always wins, whichever bucket that is.)
+    #[inline]
+    pub(crate) fn is_tie(&self) -> bool {
+        self.to != NO_TARGET
+            && self.gain.partial_cmp(&self.base_gain) != Some(std::cmp::Ordering::Greater)
+    }
+
+    /// The best move `(to, gain)` of a vertex in bucket `from` with this standing, given the
+    /// least-loaded bucket: under `All` the untouched least-loaded bucket is considered after
+    /// the touched ones, with the kernel's tie rule (the lower bucket id wins an equal gain).
+    /// `least_loaded_touched` must refer to `least_loaded` unless [`Standing::is_tie`] is
+    /// false.
+    #[inline]
+    pub(crate) fn resolve(
+        &self,
+        constraint: &TargetConstraint,
+        from: BucketId,
+        least_loaded: BucketId,
+    ) -> Option<(BucketId, f64)> {
+        let best = (self.to != NO_TARGET).then_some((self.to, self.gain));
+        match constraint {
+            TargetConstraint::Siblings { .. } => best,
+            TargetConstraint::All { k } => {
+                if *k <= 1 {
+                    return None;
+                }
+                if least_loaded == from || self.least_loaded_touched || least_loaded >= *k {
+                    return best;
+                }
+                match best {
+                    Some((bb, bg))
+                        if bg > self.base_gain || (bg == self.base_gain && bb <= least_loaded) =>
+                    {
+                        best
+                    }
+                    _ => Some((least_loaded, self.base_gain)),
+                }
+            }
+        }
+    }
+}
+
 /// Computes the best move proposal for a single vertex under the given constraint, or `None`
 /// when the vertex has no admissible target (e.g. an isolated vertex under `All` with every
 /// candidate equal to its own bucket).
@@ -229,32 +306,60 @@ pub fn best_move_for_vertex_with(
     v: DataId,
 ) -> Option<MoveProposal> {
     let from = partition.bucket_of(v);
+    standing_with(
+        objective,
+        graph,
+        partition,
+        nd,
+        constraint,
+        least_loaded,
+        scratch,
+        v,
+    )
+    .resolve(constraint, from, least_loaded)
+    .map(|(to, gain)| MoveProposal {
+        vertex: v,
+        from,
+        to,
+        gain,
+    })
+}
+
+/// The kernel itself: vertex `v`'s [`Standing`], computed against `least_loaded`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn standing_with(
+    objective: &Objective,
+    graph: &BipartiteGraph,
+    partition: &Partition,
+    nd: &NeighborData,
+    constraint: &TargetConstraint,
+    least_loaded: BucketId,
+    scratch: &mut GainScratch,
+    v: DataId,
+) -> Standing {
+    let from = partition.bucket_of(v);
     match constraint {
         TargetConstraint::Siblings { allowed } => {
             // The sibling candidate set is tiny (the recursion arity); per-target exact gains
             // need no scratch and match the historical summation order exactly.
-            let targets = allowed.get(from as usize)?;
-            let mut best: Option<(BucketId, f64)> = None;
-            for &to in targets {
+            let mut standing = Standing::NONE;
+            for &to in allowed.get(from as usize).map_or(&[][..], Vec::as_slice) {
                 if to == from {
                     continue;
                 }
                 let gain = move_gain(objective, graph, partition, nd, v, to);
-                best = match best {
-                    Some((bb, bg)) if bg > gain || (bg == gain && bb < to) => Some((bb, bg)),
-                    _ => Some((to, gain)),
-                };
+                let keep = standing.to != NO_TARGET
+                    && (standing.gain > gain || (standing.gain == gain && standing.to < to));
+                if !keep {
+                    standing.to = to;
+                    standing.gain = gain;
+                }
             }
-            best.map(|(to, gain)| MoveProposal {
-                vertex: v,
-                from,
-                to,
-                gain,
-            })
+            standing
         }
         TargetConstraint::All { k } => {
             if *k <= 1 {
-                return None;
+                return Standing::NONE;
             }
             debug_assert!(scratch.num_buckets() >= partition.num_buckets());
             // One fused pass per query: find `n_from` with a linear scan of the (tiny) entry
@@ -285,37 +390,30 @@ pub fn best_move_for_vertex_with(
                     scratch.add(b, adjustment);
                 }
             }
-            let mut best: Option<(BucketId, f64)> = None;
-            let mut consider = |to: BucketId, gain: f64| {
-                best = match best {
-                    Some((bb, bg)) if bg > gain || (bg == gain && bb <= to) => Some((bb, bg)),
-                    _ => Some((to, gain)),
-                };
-            };
             // Candidates in ascending bucket order (sorting only the touched stack), exactly
-            // like the hash-map kernel's sorted key collection.
+            // like the hash-map kernel's sorted key collection; the first of equal gains wins.
             scratch.touched.sort_unstable();
+            let mut standing = Standing {
+                base_gain,
+                ..Standing::NONE
+            };
             for &b in &scratch.touched {
-                consider(b, base_gain + scratch.delta[b as usize]);
+                let gain = base_gain + scratch.delta[b as usize];
+                let keep = standing.to != NO_TARGET && standing.gain >= gain;
+                if !keep {
+                    standing.to = b;
+                    standing.gain = gain;
+                }
             }
-            // Also consider an untouched bucket (the globally least-loaded one) if admissible.
-            // Bounds-check before touching the scratch so an out-of-range caller-supplied
-            // `least_loaded` degrades exactly like the hash-map kernel (treated as untouched,
-            // then filtered by `< k`) instead of panicking on the mark index.
-            let least_loaded_untouched = scratch
+            // The least-loaded bucket is the untouched candidate only when no query touches
+            // it. An out-of-range caller-supplied `least_loaded` counts as untouched (and is
+            // then filtered by `< k` in `resolve`), exactly like the hash-map kernel.
+            standing.least_loaded_touched = scratch
                 .marked
                 .get(least_loaded as usize)
-                .is_none_or(|&m| !m);
-            if least_loaded != from && least_loaded_untouched && least_loaded < *k {
-                consider(least_loaded, base_gain);
-            }
+                .is_some_and(|&m| m);
             scratch.reset();
-            best.map(|(to, gain)| MoveProposal {
-                vertex: v,
-                from,
-                to,
-                gain,
-            })
+            standing
         }
     }
 }
@@ -362,10 +460,8 @@ pub fn compute_proposals(
 
 /// Recomputes the best proposal of each vertex in `vertices` (ascending ids expected), in
 /// parallel with worker-local scratches, returning one `Option<MoveProposal>` per input vertex
-/// in input order. This is the dirty-set entry point used by
-/// [`crate::refinement::Refiner`]: unlike [`compute_proposals`] it never filters by gain (the
-/// caller caches the raw best proposal per vertex and applies filtering when assembling the
-/// iteration's proposal list). `kernel` has one value and remains only because the pipeline
+/// in input order, against the given least-loaded bucket. Unlike [`compute_proposals`] it
+/// never filters by gain. `kernel` has one value and remains only because the pipeline
 /// benchmark passes it; see [`GainKernel`].
 #[allow(clippy::too_many_arguments)]
 pub fn compute_proposals_for(

@@ -30,7 +30,7 @@ pub fn bin_index(gain: f64) -> usize {
     }
     let magnitude = gain.abs();
     // Exponent clamped so every magnitude fits one of HALF_BINS bins.
-    let exp = magnitude.log2().floor() as i32;
+    let exp = floor_log2(magnitude);
     let clamped = exp.clamp(MAX_EXP - HALF_BINS as i32 + 1, MAX_EXP);
     let offset = (MAX_EXP - clamped) as usize; // 0 for the largest magnitudes
     if gain > 0.0 {
@@ -38,6 +38,21 @@ pub fn bin_index(gain: f64) -> usize {
     } else {
         NUM_BINS - 1 - offset
     }
+}
+
+/// `magnitude.log2().floor() as i32` for a positive `magnitude`, read from the exponent bits
+/// where that is exact. `log2` can round a value within a few ulps below a power of two up to
+/// that power, so a mantissa within 2⁻¹² of the next power — and a subnormal, infinite or NaN
+/// value — is left to `log2` itself. Anywhere else `x < 2^(e+1)·(1 − 2⁻¹³)`, far more than
+/// `log2`'s rounding error below `e + 1`, so its floor is the exponent `e`.
+fn floor_log2(magnitude: f64) -> i32 {
+    let bits = magnitude.to_bits();
+    let biased = (bits >> 52) as i32;
+    let top_mantissa = (bits >> 40) & 0xfff;
+    if biased == 0 || biased == 0x7ff || top_mantissa == 0xfff {
+        return magnitude.log2().floor() as i32;
+    }
+    biased - 1023
 }
 
 /// Representative gain of a bin, used when deciding whether a positive/negative bin pair is
@@ -88,6 +103,11 @@ impl GainHistogram {
     /// Total number of recorded candidates.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
+    }
+
+    /// Records `count` candidates whose gains fall in `bin`.
+    pub(crate) fn add(&mut self, bin: usize, count: u64) {
+        self.counts[bin] += count;
     }
 
     /// Merges another histogram into this one (used when worker-local histograms are combined
@@ -159,6 +179,14 @@ impl GainHistogramSet {
         self.histograms
             .entry(proposal.from, proposal.to)
             .record(proposal.gain);
+    }
+
+    /// Records `count` candidates of the pair `(from, to)` whose gains fall in `bin`.
+    ///
+    /// # Panics
+    /// Panics when the set's layout cannot hold the pair, like [`GainHistogramSet::record`].
+    pub(crate) fn add(&mut self, from: BucketId, to: BucketId, bin: usize, count: u64) {
+        self.histograms.entry(from, to).add(bin, count);
     }
 
     /// Merges another set into this one.
@@ -288,6 +316,35 @@ mod tests {
         assert_eq!(bin_index(0.0), HALF_BINS);
         assert!(bin_index(1000.0) < bin_index(1.0));
         assert!(bin_index(-1000.0) > bin_index(-1.0));
+    }
+
+    #[test]
+    fn floor_log2_equals_the_floor_of_log2() {
+        // Around every power of two in and beyond the binned range, a few ulps either side,
+        // plus the extremes and a sweep of ordinary values.
+        let mut values = vec![f64::MIN_POSITIVE, f64::MAX, f64::INFINITY, 5e-324, 1e-310];
+        for e in -60..=60 {
+            let power = (e as f64).exp2();
+            for ulps in 0..=64u64 {
+                values.push(f64::from_bits(power.to_bits() + ulps));
+                values.push(f64::from_bits(power.to_bits() - ulps));
+            }
+            values.push(power * (1.0 - 1.0 / 8192.0));
+            values.push(power * 1.5);
+        }
+        let mut x = 1e-9f64;
+        while x < 1e9 {
+            values.push(x);
+            x *= 1.000_37;
+        }
+        for v in values {
+            assert_eq!(
+                floor_log2(v),
+                v.log2().floor() as i32,
+                "{v:e} ({:#x})",
+                v.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -21,10 +21,14 @@ use std::time::Instant;
 pub struct IncrementalConfig {
     /// Gain penalty subtracted from every move that takes a vertex away from its bucket in the
     /// previous partition (moves back to it are not penalized). Expressed in the same unit as
-    /// the objective gains.
+    /// the objective gains. The refiner applies it through
+    /// [`Refiner::with_movement_penalty`](crate::Refiner::with_movement_penalty) while it
+    /// assembles each iteration's candidates, so every iteration, the dirty set's included,
+    /// sees the penalized gains.
     pub movement_penalty: f64,
     /// Hard cap on the fraction of data vertices allowed to change buckets relative to the
-    /// previous partition; refinement stops once the cap is hit. `1.0` disables the cap.
+    /// previous partition; refinement stops once the cap is hit, counting the churn from each
+    /// iteration's applied moves. `1.0` disables the cap.
     pub max_moved_fraction: f64,
     /// Hard migration budget: the returned partition differs from the previous one on at most
     /// this many vertices. `None` disables the budget.
@@ -54,6 +58,8 @@ impl Default for IncrementalConfig {
 ///
 /// The previous partition must cover exactly the data vertices of `graph`; callers adding new
 /// vertices should first extend the assignment (e.g. hashing new vertices to random buckets).
+/// Records a `partition/incremental` span with one `iteration` child per refinement
+/// iteration.
 ///
 /// # Errors
 /// Returns [`ShpError::InvalidConfig`] when the configuration is invalid and
@@ -99,8 +105,7 @@ pub fn partition_incremental(
     let mut nd = NeighborData::build_with_workers(graph, &partition, config.workers);
     // Penalize every move whose target differs from the vertex's bucket in the previous
     // partition; moves back to the original bucket keep their full gain.
-    let original: Vec<u32> = previous.assignment().to_vec();
-    let penalty = incremental.movement_penalty;
+    let original = previous.assignment();
     let refiner = Refiner::new(
         graph,
         Objective::from_kind(config.objective),
@@ -112,23 +117,28 @@ pub fn partition_incremental(
         config.seed,
     )
     .with_workers(config.workers)
-    .with_gain_adjuster(Box::new(move |proposal| {
-        if proposal.to != original[proposal.vertex as usize] {
-            proposal.gain - penalty
-        } else {
-            proposal.gain
-        }
-    }));
+    .with_movement_penalty(original, incremental.movement_penalty);
 
-    // Additionally cap the total churn relative to the previous partition.
+    // Additionally cap the total churn relative to the previous partition, counted from the
+    // applied moves: a vertex leaving its original bucket adds one, a vertex returning to it
+    // takes one away (each vertex moves at most once per iteration).
     let cap = (incremental.max_moved_fraction * graph.num_data() as f64).floor() as usize;
+    let mut moved_total = 0usize;
     let mut history: Vec<IterationStats> = Vec::new();
+    let span = shp_telemetry::Span::enter("partition/incremental");
     let mut active = refiner.new_active_set();
     for iteration in 0..config.max_iterations {
+        let _iteration_span = span.child("iteration");
         let stats = refiner.run_iteration_with(&mut active, &mut partition, &mut nd, iteration);
         let converged = stats.moved_fraction < config.convergence_threshold;
         history.push(stats);
-        let moved_total = partition.hamming_distance(previous);
+        for p in active.applied_moves() {
+            if p.from == original[p.vertex as usize] {
+                moved_total += 1;
+            } else if p.to == original[p.vertex as usize] {
+                moved_total -= 1;
+            }
+        }
         if converged || moved_total >= cap {
             break;
         }

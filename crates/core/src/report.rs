@@ -92,6 +92,7 @@ mod tests {
                     moved_fraction: 0.5,
                     applied_gain: 2.0,
                     fanout_after: 3.0,
+                    stranded: 1,
                 },
                 IterationStats {
                     iteration: 1,
@@ -100,6 +101,7 @@ mod tests {
                     moved_fraction: 0.2,
                     applied_gain: 0.5,
                     fanout_after: 2.5,
+                    stranded: 0,
                 },
             ],
             levels: vec![],

@@ -105,6 +105,12 @@ pub enum MoveProbabilities {
 impl MoveProbabilities {
     /// Probability with which the given proposal is allowed to move.
     pub fn probability(&self, proposal: &MoveProposal) -> f64 {
+        self.probability_in_bin(proposal, bin_index(proposal.gain))
+    }
+
+    /// [`MoveProbabilities::probability`] for a proposal whose gain falls in `bin` (see
+    /// [`crate::histogram::bin_index`]), so a gain binned once serves every lookup.
+    pub(crate) fn probability_in_bin(&self, proposal: &MoveProposal, bin: usize) -> f64 {
         match self {
             MoveProbabilities::Matrix(probs) => {
                 if proposal.gain > 0.0 {
@@ -118,7 +124,7 @@ impl MoveProbabilities {
             }
             MoveProbabilities::Histogram(probs) => probs
                 .get(proposal.from, proposal.to)
-                .map(|bins| bins[bin_index(proposal.gain)])
+                .map(|bins| bins[bin])
                 .unwrap_or(0.0),
         }
     }

@@ -3,7 +3,10 @@
 
 use proptest::prelude::*;
 use shp::core::gains::{self, GainKernel, TargetConstraint};
-use shp::core::{partition_direct, partition_recursive, NeighborData, Objective, ShpConfig};
+use shp::core::{
+    partition_direct, partition_recursive, BalanceMode, IterationStats, NeighborData, Objective,
+    Refiner, ShpConfig, SwapStrategy,
+};
 use shp::hypergraph::{
     average_fanout, average_p_fanout, io, metrics, weighted_edge_cut, GraphBuilder, Partition,
 };
@@ -349,5 +352,110 @@ proptest! {
             &objective, &graph, &partition, &nd, &constraint, least_loaded, &vertices,
         );
         prop_assert_eq!(bits(scratch), bits(oracle));
+    }
+}
+
+/// Every float of an iteration's statistics as its bits.
+fn stats_bits(history: &[IterationStats]) -> Vec<(usize, usize, usize, u64, u64, u64, usize)> {
+    history
+        .iter()
+        .map(|s| {
+            (
+                s.iteration,
+                s.candidates,
+                s.moved,
+                s.moved_fraction.to_bits(),
+                s.applied_gain.to_bits(),
+                s.fanout_after.to_bits(),
+                s.stranded,
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `Refiner::run` — cached standings, the least-loaded bucket resolved at assembly, the
+    /// vertices without queries handled in bulk, the penalty read inline — leaves exactly the
+    /// partition and statistics (float bits included) of the pre-cache oracle iteration
+    /// (`shp_bench::oracles::refinement`) run 8 times. The graphs hold vertices without queries
+    /// and vertices whose queries lie wholly in their own bucket; the objective is plain
+    /// fanout, p-fanout, or p-fanout with a p so small that every touched bucket ties with the
+    /// base gain; and the runs cover `All` with k at or above the bucket count, both swap
+    /// strategies, both balance modes, imbalanced moves on and off, no penalty or a penalty of
+    /// 0 or more against a random previous assignment, and 1–4 workers.
+    #[test]
+    fn refiner_run_matches_the_oracle_iteration_loop(
+        edges in arb_hypergraph(30, 24),
+        (isolated, confined) in (0usize..8, 0u32..4),
+        buckets in 2u32..6,
+        extra_k in 0u32..3,
+        objective_choice in 0u32..3,
+        mode in 0u32..8,
+        penalty_choice in 0u32..3,
+        epsilon in 0.05f64..0.6,
+        workers in 1usize..5,
+        seed in 0u64..1000,
+    ) {
+        let mut builder = GraphBuilder::new();
+        for pins in edges {
+            builder.add_query(pins);
+        }
+        // Each confined query gets two fresh vertices, placed in one bucket below.
+        let first_confined = builder.num_data() as u32;
+        for c in 0..confined {
+            builder.add_query([first_confined + 2 * c, first_confined + 2 * c + 1]);
+        }
+        builder.ensure_data_count(builder.num_data() + isolated);
+        let graph = builder.build().unwrap();
+        let mut rng: rand_pcg::Pcg64 = rand::SeedableRng::seed_from_u64(seed);
+        let random_assignment = |rng: &mut rand_pcg::Pcg64| -> Vec<u32> {
+            (0..graph.num_data()).map(|_| rand::Rng::gen_range(rng, 0..buckets)).collect()
+        };
+        let mut assignment = random_assignment(&mut rng);
+        for c in 0..confined {
+            let v = (first_confined + 2 * c) as usize;
+            assignment[v + 1] = assignment[v];
+        }
+        let initial = Partition::from_assignment(&graph, buckets, assignment).unwrap();
+        let previous = random_assignment(&mut rng);
+        let objective = match objective_choice {
+            0 => Objective::Fanout,
+            1 => Objective::PFanout { p: 0.5 },
+            _ => Objective::PFanout { p: 1e-300 },
+        };
+        let strategy = if mode & 1 == 0 { SwapStrategy::Histogram } else { SwapStrategy::Matrix };
+        let balance = if mode & 2 == 0 { BalanceMode::Expectation } else { BalanceMode::Strict };
+        let mut refiner = Refiner::new(
+            &graph,
+            objective,
+            TargetConstraint::all(buckets + extra_k),
+            strategy,
+            balance,
+            mode & 4 != 0,
+            epsilon,
+            seed,
+        )
+        .with_workers(workers);
+        if penalty_choice > 0 {
+            let penalty = if penalty_choice == 1 { 0.0 } else { 0.1 + seed as f64 / 1000.0 };
+            refiner = refiner.with_movement_penalty(&previous, penalty);
+        }
+
+        let mut partition = initial.clone();
+        let mut nd = NeighborData::build(&graph, &partition);
+        let history = refiner.run(&mut partition, &mut nd, 8, 0.0);
+        let mut oracle_partition = initial;
+        let mut oracle_nd = NeighborData::build(&graph, &oracle_partition);
+        let oracle_history: Vec<IterationStats> = (0..8)
+            .map(|it| {
+                oracles::refinement::run_iteration(
+                    &graph, &refiner, &mut oracle_partition, &mut oracle_nd, it,
+                )
+            })
+            .collect();
+        prop_assert_eq!(partition, oracle_partition);
+        prop_assert_eq!(stats_bits(&history), stats_bits(&oracle_history));
     }
 }
