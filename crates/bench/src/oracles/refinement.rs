@@ -4,7 +4,8 @@
 //! One iteration, the direct way: every vertex's proposal from the hash-map kernel against the
 //! current least-loaded bucket, the movement penalty, the gain filter, the swap matrix or
 //! `GainHistogramSet::from_proposals`, one `MoveProbabilities::probability` per candidate, the
-//! coins, the capacity trim or strict pairing, the imbalanced extras, and the moves.
+//! coins, the capacity trim or strict pairing, the imbalanced extras (both with every bucket's
+//! capacity proportional to its share of the final buckets), and the moves.
 
 use crate::oracles::gains;
 use shp_core::histogram::GainHistogramSet;
@@ -72,15 +73,10 @@ pub fn run_iteration(
 
     let mut selected = match refiner.balance_mode() {
         BalanceMode::Strict => strict_pairing(selected),
-        BalanceMode::Expectation => capacity_trim(partition, selected, refiner.epsilon()),
+        BalanceMode::Expectation => capacity_trim(partition, selected, refiner),
     };
     if refiner.allows_imbalanced_moves() {
-        let extra = imbalanced_extras(
-            partition,
-            &selected,
-            &mut unselected_positive,
-            refiner.epsilon(),
-        );
+        let extra = imbalanced_extras(partition, &selected, &mut unselected_positive, refiner);
         selected.extend(extra);
     }
 
@@ -138,21 +134,32 @@ fn strict_pairing(selected: Vec<MoveProposal>) -> Vec<MoveProposal> {
     result
 }
 
-/// In descending gain order, keeps each move whose target stays within the capacity (at least
-/// the ideal weight plus one), given the moves kept before it.
+/// Bucket `b`'s ideal weight, `⌈total · share_b / Σ shares⌉` with the refiner's bucket shares
+/// (1 each when unset), and its `(1 + ε)` capacity `⌊(1 + ε) · ideal⌋`.
+fn capacity(partition: &Partition, refiner: &Refiner<'_>, b: BucketId) -> (u64, u64) {
+    let (share, total_shares) = match refiner.bucket_shares() {
+        Some(shares) => (shares[b as usize], shares.iter().map(|&s| s as u64).sum()),
+        None => (1, partition.num_buckets() as u64),
+    };
+    let ideal = (partition.total_weight() as f64 * share as f64 / total_shares as f64).ceil();
+    let cap = ((1.0 + refiner.epsilon()) * ideal).floor();
+    (ideal as u64, cap as u64)
+}
+
+/// In descending gain order, keeps each move whose target stays within its capacity (at least
+/// its ideal weight plus one), given the moves kept before it.
 fn capacity_trim(
     partition: &Partition,
     mut selected: Vec<MoveProposal>,
-    epsilon: f64,
+    refiner: &Refiner<'_>,
 ) -> Vec<MoveProposal> {
-    let ideal = (partition.total_weight() as f64 / partition.num_buckets() as f64).ceil() as u64;
-    let cap = partition.max_allowed_weight(epsilon).max(ideal + 1);
     by_gain(&mut selected);
     let mut weights = partition.bucket_weights().to_vec();
     let mut kept = Vec::new();
     for p in selected {
         let w = partition.vertex_weight(p.vertex);
-        if weights[p.to as usize] + w <= cap {
+        let (ideal, cap) = capacity(partition, refiner, p.to);
+        if weights[p.to as usize] + w <= cap.max(ideal + 1) {
             weights[p.to as usize] += w;
             weights[p.from as usize] -= w;
             kept.push(p);
@@ -161,15 +168,14 @@ fn capacity_trim(
     kept
 }
 
-/// In descending gain order, the unselected improving moves whose target stays within the
+/// In descending gain order, the unselected improving moves whose target stays within its
 /// `(1 + ε)` capacity after the selected moves and the extras before them.
 fn imbalanced_extras(
     partition: &Partition,
     selected: &[MoveProposal],
     candidates: &mut [MoveProposal],
-    epsilon: f64,
+    refiner: &Refiner<'_>,
 ) -> Vec<MoveProposal> {
-    let cap = partition.max_allowed_weight(epsilon);
     let mut weights = partition.bucket_weights().to_vec();
     for p in selected {
         let w = partition.vertex_weight(p.vertex);
@@ -180,7 +186,7 @@ fn imbalanced_extras(
     let mut extras = Vec::new();
     for p in candidates.iter() {
         let w = partition.vertex_weight(p.vertex);
-        if weights[p.to as usize] + w <= cap {
+        if weights[p.to as usize] + w <= capacity(partition, refiner, p.to).1 {
             weights[p.to as usize] += w;
             weights[p.from as usize] -= w;
             extras.push(*p);

@@ -410,9 +410,6 @@ pub trait Partitioner {
 ///
 /// Costs `O(k)` on a balanced partition and `O(|D| + k·log k + moves·log k)` otherwise.
 pub fn enforce_balance(partition: &mut Partition, epsilon: f64) -> usize {
-    if partition.is_balanced(epsilon) {
-        return 0;
-    }
     let moves = balance_moves(partition, partition.max_allowed_weight(epsilon));
     partition.assign_all(&moves);
     moves.len()
@@ -420,16 +417,19 @@ pub fn enforce_balance(partition: &mut Partition, epsilon: f64) -> usize {
 
 /// The moves of [`enforce_balance`], in order, for capacity `cap`: one pass over the
 /// assignment collects the members of the overfull buckets, and an ordered set over
-/// `(weight, bucket)` yields the lightest target.
-fn balance_moves(partition: &Partition, cap: u64) -> Vec<(DataId, BucketId)> {
+/// `(weight, bucket)` yields the lightest target. `partition_incremental` repairs with it too.
+pub(crate) fn balance_moves(partition: &Partition, cap: u64) -> Vec<(DataId, BucketId)> {
     let mut weights = partition.bucket_weights().to_vec();
+    let overfull: Vec<BucketId> = (0..partition.num_buckets())
+        .filter(|&b| weights[b as usize] > cap)
+        .collect();
+    if overfull.is_empty() {
+        return Vec::new();
+    }
     let mut by_weight: BTreeSet<(u64, BucketId)> = weights
         .iter()
         .enumerate()
         .map(|(b, &w)| (w, b as BucketId))
-        .collect();
-    let overfull: Vec<BucketId> = (0..partition.num_buckets())
-        .filter(|&b| weights[b as usize] > cap)
         .collect();
     // `position[b]` is bucket b's index in `overfull` (usize::MAX when b is not overfull).
     let mut position = vec![usize::MAX; weights.len()];

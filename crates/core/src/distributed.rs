@@ -4,7 +4,8 @@
 //! `shp-vertex-centric`:
 //!
 //! 1. **Collect buckets** — every data vertex sends its current bucket to its adjacent query
-//!    vertices.
+//!    vertices (and, under the `All` constraint, its weight to the master, which broadcasts
+//!    the least-loaded bucket: lowest weight, then lowest id).
 //! 2. **Neighbor data** — every query vertex aggregates the received buckets into its neighbor
 //!    data `n_i(q)` and sends the non-zero entries back to its adjacent data vertices.
 //! 3. **Move gains** — every data vertex computes its move gains from the received neighbor
@@ -15,26 +16,23 @@
 //!    moves accordingly.
 //!
 //! What the distributed path adds is per-superstep communication accounting and the ability to
-//! scale the number of simulated workers (Figures 5a/5b, Table 3). It shares with the
-//! in-process paths ([`crate::partition_recursive`], [`crate::partition_direct`]) the SHP-r
-//! split schedule, the per-level seeds, the random start of direct mode, the move
-//! probabilities ([`MoveProbabilities`], built from the merged gain histograms) and the
-//! per-(seed, iteration, vertex) move coins. It is **not** numerically equivalent to them:
+//! scale the number of simulated workers (Figures 5a/5b, Table 3). All else it shares with the
+//! in-process paths ([`crate::partition_recursive`], [`crate::partition_direct`]): the split
+//! schedule, seeds, random start, gain kernel (over the payloads a data vertex received, in
+//! ascending query order), least-loaded bucket, move probabilities and move coins.
 //!
-//! * it reads no `ε`, `balance_mode` or `allow_imbalanced_moves`, so no capacity trim follows
-//!   the coins;
-//! * under the `All` constraint it never proposes the least-loaded untouched bucket;
-//! * it sums a vertex's gain as a base gain plus per-bucket deltas, which rounds differently.
-//!
-//! On email-Enron 0.05, soc-Epinions 0.02 and web-Stanford 0.01 at k ∈ {2, 5, 8, 13, 32, 64},
-//! with both swap strategies and seed 7, the two give the same partition in 0 of 36 bisection
-//! runs and 2 of 36 direct runs; `tests/end_to_end.rs` checks that their fanouts stay in one
-//! quality band.
+//! One difference is left: the BSP path reads no `ε`, `balance_mode` or
+//! `allow_imbalanced_moves`, so no capacity trim, strict pairing or imbalanced move follows
+//! the coins. Wherever the trim cannot bind (a large `ε`, the default balance mode, imbalanced
+//! moves off) both paths return the same partition and per-iteration move counts bit for bit,
+//! at every worker count
+//! (`tests/parallel_conformance.rs::bsp_equals_in_process_where_the_trim_cannot_bind`).
 
 use crate::config::{PartitionMode, ShpConfig, SwapStrategy};
 use crate::error::{ShpError, ShpResult};
-use crate::gains::{MoveProposal, TargetConstraint};
+use crate::gains::{standing_with, GainScratch, MoveProposal, TargetConstraint};
 use crate::histogram::GainHistogramSet;
+use crate::neighbor_data::bucket_counts;
 use crate::objective::Objective;
 use crate::pair_table::PairLayout;
 use crate::recursive::split_schedule;
@@ -104,16 +102,21 @@ enum ShpMessage {
 
 /// Per-superstep aggregate collected by the master.
 ///
-/// A vertex contributes at most one `proposal`. [`VertexProgram::merge_aggregates`] folds it,
-/// in place, into the `histograms` of its worker's accumulator, so a contribution allocates no
-/// table and each worker builds exactly one histogram set per superstep. That set is laid out
-/// by the program's constraint ([`TargetConstraint::pair_layout`]): under SHP-2's sibling
-/// constraint it holds one slot per sibling pair, under `All` the k² pair index. The master
-/// merges the workers' sets, which share that layout, in worker-index order.
+/// A vertex contributes at most one `proposal` or one `weight`.
+/// [`VertexProgram::merge_aggregates`] folds it, in place, into the `histograms` or
+/// `bucket_weights` of its worker's accumulator, so a contribution allocates no table and each
+/// worker builds exactly one histogram set per superstep. That set is laid out by the
+/// program's constraint ([`TargetConstraint::pair_layout`]): under SHP-2's sibling constraint
+/// it holds one slot per sibling pair, under `All` the k² pair index. The master merges the
+/// workers' accumulators, which share that layout, in worker-index order.
 #[derive(Debug, Clone, Default)]
 struct ShpAggregate {
     histograms: GainHistogramSet,
     proposal: Option<MoveProposal>,
+    /// Under `All`: the weight of every bucket, summed from the data vertices' `weight`
+    /// contributions `(bucket, vertex weight)`.
+    bucket_weights: Vec<u64>,
+    weight: Option<(BucketId, u64)>,
     moved: u64,
     fanout_sum: u64,
 }
@@ -122,16 +125,17 @@ struct ShpAggregate {
 #[derive(Debug, Clone, Default)]
 struct ShpGlobal {
     iteration: usize,
+    /// Under `All`, the current iteration's least-loaded bucket: lowest weight, then lowest id.
+    least_loaded: BucketId,
     /// The current iteration's move probabilities; empty outside the move superstep.
     probabilities: MoveProbabilities,
     pending_fanout: f64,
     history: Vec<DistributedIterationStats>,
 }
 
-/// The SHP vertex program.
-struct ShpProgram {
-    num_data: usize,
-    num_queries: usize,
+/// The SHP vertex program over `graph`, which it reads only for the data vertices' weights.
+struct ShpProgram<'g> {
+    graph: &'g BipartiteGraph,
     objective: Objective,
     constraint: TargetConstraint,
     /// The pairs `constraint` admits: the layout of every worker's histogram set.
@@ -142,24 +146,24 @@ struct ShpProgram {
     seed: u64,
 }
 
-impl ShpProgram {
-    /// The buckets `from` may move to, or `None` when any bucket is admissible. A bucket in no
-    /// sibling group has no targets, exactly as in the in-process gain kernel.
-    fn allowed_targets(&self, from: BucketId) -> Option<&[BucketId]> {
-        match &self.constraint {
-            TargetConstraint::All { .. } => None,
-            TargetConstraint::Siblings { allowed } => {
-                Some(allowed.get(from as usize).map_or(&[], |v| v.as_slice()))
-            }
+impl ShpProgram<'_> {
+    /// The bucket count under `All`, where the master tracks bucket weights for the
+    /// least-loaded bucket; `None` under `Siblings`, which never reads it.
+    fn all_buckets(&self) -> Option<u32> {
+        match self.constraint {
+            TargetConstraint::All { k } => Some(k),
+            TargetConstraint::Siblings { .. } => None,
         }
     }
 }
 
-impl VertexProgram for ShpProgram {
+impl VertexProgram for ShpProgram<'_> {
     type Value = ShpValue;
     type Message = ShpMessage;
     type Aggregate = ShpAggregate;
     type Global = ShpGlobal;
+    /// The worker's gain scratch, created at its first gain superstep.
+    type Scratch = Option<GainScratch>;
 
     fn compute(
         &self,
@@ -172,14 +176,36 @@ impl VertexProgram for ShpProgram {
         match value {
             ShpValue::Data { bucket, proposal } => match phase {
                 0 => {
-                    // Superstep 1: send the current bucket to all adjacent queries.
+                    // Superstep 1: send the current bucket to all adjacent queries, and under
+                    // `All` the vertex weight to the master.
                     ctx.send_to_neighbors(ShpMessage::Bucket(*bucket));
+                    if self.all_buckets().is_some() {
+                        ctx.aggregate(ShpAggregate {
+                            weight: Some((*bucket, u64::from(self.graph.data_weight(vertex)))),
+                            ..Default::default()
+                        });
+                    }
                 }
                 2 => {
-                    // Superstep 3: compute move gains from the received neighbor data. The
+                    // Superstep 3: the in-process gain kernel over the received neighbor data,
+                    // one payload per adjacent query in ascending query order. The
                     // contribution carries the bare proposal; the per-worker accumulator folds
                     // it into its histogram set (see `merge_aggregates`).
-                    *proposal = compute_distributed_proposal(self, *bucket, messages);
+                    let least_loaded = ctx.global().least_loaded;
+                    let k = self.all_buckets().unwrap_or(0);
+                    let scratch = ctx.scratch().get_or_insert_with(|| GainScratch::new(k));
+                    *proposal = standing_with(
+                        &self.objective,
+                        &self.constraint,
+                        *bucket,
+                        messages.iter().filter_map(|m| match m {
+                            ShpMessage::NeighborData(counts) => Some(&counts[..]),
+                            ShpMessage::Bucket(_) => None,
+                        }),
+                        least_loaded,
+                        scratch,
+                    )
+                    .resolve(&self.constraint, *bucket, least_loaded);
                     if let Some((to, gain)) = *proposal {
                         ctx.aggregate(ShpAggregate {
                             proposal: Some(MoveProposal {
@@ -218,15 +244,10 @@ impl VertexProgram for ShpProgram {
                 if phase == 1 {
                     // Superstep 2: aggregate buckets into neighbor data, report fanout, and send
                     // the non-zero entries back to the adjacent data vertices.
-                    let mut counts: Vec<(BucketId, u32)> = Vec::new();
-                    for m in messages {
-                        if let ShpMessage::Bucket(b) = m {
-                            match counts.binary_search_by_key(b, |&(bb, _)| bb) {
-                                Ok(idx) => counts[idx].1 += 1,
-                                Err(idx) => counts.insert(idx, (*b, 1)),
-                            }
-                        }
-                    }
+                    let counts = bucket_counts(messages.iter().filter_map(|m| match m {
+                        ShpMessage::Bucket(b) => Some(*b),
+                        ShpMessage::NeighborData(_) => None,
+                    }));
                     if !counts.is_empty() {
                         ctx.aggregate(ShpAggregate {
                             fanout_sum: counts.len() as u64,
@@ -255,6 +276,19 @@ impl VertexProgram for ShpProgram {
             }
             into.histograms.record(&p);
         }
+        // Bucket weights the same way: a worker's accumulator sums its vertices' weights in
+        // place, the master the workers' sums.
+        if into.bucket_weights.len() < other.bucket_weights.len() {
+            into.bucket_weights.resize(other.bucket_weights.len(), 0);
+        }
+        for (sum, w) in into.bucket_weights.iter_mut().zip(&other.bucket_weights) {
+            *sum += w;
+        }
+        for (b, w) in [other.weight, into.weight.take()].into_iter().flatten() {
+            into.bucket_weights
+                .resize(self.all_buckets().unwrap_or(0) as usize, 0);
+            into.bucket_weights[b as usize] += w;
+        }
         into.moved += other.moved;
         into.fanout_sum += other.fanout_sum;
     }
@@ -270,10 +304,11 @@ impl VertexProgram for ShpProgram {
             1 => {
                 // End of the neighbor-data superstep: remember the fanout observed this
                 // iteration.
-                global.pending_fanout = if self.num_queries == 0 {
+                let num_queries = self.graph.num_queries();
+                global.pending_fanout = if num_queries == 0 {
                     0.0
                 } else {
-                    aggregate.fanout_sum as f64 / self.num_queries as f64
+                    aggregate.fanout_sum as f64 / num_queries as f64
                 };
                 MasterOutcome::Continue(global)
             }
@@ -300,7 +335,7 @@ impl VertexProgram for ShpProgram {
                 });
                 global.iteration += 1;
                 global.probabilities = MoveProbabilities::default();
-                let moved_fraction = moved as f64 / self.num_data.max(1) as f64;
+                let moved_fraction = moved as f64 / self.graph.num_data().max(1) as f64;
                 if global.iteration >= self.max_iterations
                     || moved_fraction < self.convergence_threshold
                 {
@@ -314,12 +349,15 @@ impl VertexProgram for ShpProgram {
             }
             _ => {
                 // End of the bucket-collection superstep: halt cleanly if the previous
-                // iteration decided to stop.
+                // iteration decided to stop, otherwise broadcast the least-loaded bucket.
                 if global.iteration >= self.max_iterations {
-                    MasterOutcome::Halt
-                } else {
-                    MasterOutcome::Continue(global)
+                    return MasterOutcome::Halt;
                 }
+                let weights = &aggregate.bucket_weights;
+                global.least_loaded = (0..weights.len())
+                    .min_by_key(|&b| (weights[b], b))
+                    .map_or(0, |b| b as BucketId);
+                MasterOutcome::Continue(global)
             }
         }
     }
@@ -330,87 +368,6 @@ impl VertexProgram for ShpProgram {
             ShpMessage::NeighborData(counts) => 8 * counts.len(),
         }
     }
-}
-
-/// Computes the best proposal of a data vertex from the neighbor data it received.
-///
-/// Candidate deltas live in a bucket-sorted `Vec` (binary-search insertion) instead of a hash
-/// map: the candidate set is bounded by the received fanout, accumulation per bucket happens in
-/// the same message-visit order, and the final scan needs no sort — the result is bit-identical
-/// to the previous hash-map implementation without any hashing.
-fn compute_distributed_proposal(
-    program: &ShpProgram,
-    from: BucketId,
-    messages: &[ShpMessage],
-) -> Option<(BucketId, f64)> {
-    // Gain of moving to a bucket none of the adjacent queries touch, plus per-candidate deltas.
-    let mut base_gain = 0.0;
-    let mut deltas: Vec<(BucketId, f64)> = Vec::new();
-    let add_delta = |deltas: &mut Vec<(BucketId, f64)>, b: BucketId, adjustment: f64| match deltas
-        .binary_search_by_key(&b, |&(bb, _)| bb)
-    {
-        Ok(idx) => deltas[idx].1 += adjustment,
-        Err(idx) => deltas.insert(idx, (b, adjustment)),
-    };
-    let allowed = program.allowed_targets(from);
-    for message in messages {
-        let counts: &[(BucketId, u32)] = match message {
-            ShpMessage::NeighborData(counts) => counts,
-            ShpMessage::Bucket(_) => continue,
-        };
-        let n_src = counts
-            .iter()
-            .find(|&&(b, _)| b == from)
-            .map(|&(_, c)| c)
-            .unwrap_or(1);
-        base_gain += program.objective.per_query_gain(n_src, 0);
-        match allowed {
-            None => {
-                for &(b, c) in counts {
-                    if b == from {
-                        continue;
-                    }
-                    let adjustment = program.objective.per_query_gain(n_src, c)
-                        - program.objective.per_query_gain(n_src, 0);
-                    add_delta(&mut deltas, b, adjustment);
-                }
-            }
-            Some(targets) => {
-                for &b in targets {
-                    if b == from {
-                        continue;
-                    }
-                    let n_dst = counts
-                        .iter()
-                        .find(|&&(bb, _)| bb == b)
-                        .map(|&(_, c)| c)
-                        .unwrap_or(0);
-                    let adjustment = program.objective.per_query_gain(n_src, n_dst)
-                        - program.objective.per_query_gain(n_src, 0);
-                    add_delta(&mut deltas, b, adjustment);
-                }
-            }
-        }
-    }
-    if let Some(targets) = allowed {
-        // Ensure every allowed sibling is a candidate even when untouched by any query.
-        for &b in targets {
-            if b != from {
-                if let Err(idx) = deltas.binary_search_by_key(&b, |&(bb, _)| bb) {
-                    deltas.insert(idx, (b, 0.0));
-                }
-            }
-        }
-    }
-    let mut best: Option<(BucketId, f64)> = None;
-    for (b, delta) in deltas {
-        let gain = base_gain + delta;
-        best = match best {
-            Some((bb, bg)) if bg > gain || (bg == gain && bb <= b) => Some((bb, bg)),
-            _ => Some((b, gain)),
-        };
-    }
-    best
 }
 
 /// Runs the distributed SHP on `num_workers` simulated workers.
@@ -515,8 +472,7 @@ fn run_level(
         values.push(ShpValue::Query);
     }
     let program = ShpProgram {
-        num_data,
-        num_queries,
+        graph,
         objective,
         pair_layout: constraint.pair_layout(),
         constraint,
@@ -698,6 +654,17 @@ mod tests {
                 "vertex {v} moved from {before} to {after}"
             );
         }
+    }
+
+    #[test]
+    fn messages_carry_their_sender_in_padding() {
+        // A queued message is `(destination, sender, message)`: the sender id fills what would
+        // be padding after the destination, so it costs no memory.
+        assert_eq!(std::mem::size_of::<ShpMessage>(), 16);
+        assert_eq!(
+            std::mem::size_of::<shp_vertex_centric::routing::Envelope<ShpMessage>>(),
+            std::mem::size_of::<(u32, ShpMessage)>()
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! the conformance tests and the `gain_computation` bench assert bit-identical `MoveProposal`
 //! lists (gain float bits included) against it.
 
-use crate::neighbor_data::NeighborData;
+use crate::neighbor_data::{count_in, NeighborData};
 use crate::objective::Objective;
 use crate::pair_table::PairLayout;
 use shp_hypergraph::{BipartiteGraph, BucketId, DataId, Partition};
@@ -155,11 +155,6 @@ impl GainScratch {
             marked: vec![false; k as usize],
             touched: Vec::new(),
         }
-    }
-
-    /// Number of buckets the scratch covers.
-    pub fn num_buckets(&self) -> u32 {
-        self.delta.len() as u32
     }
 
     #[inline]
@@ -308,13 +303,11 @@ pub fn best_move_for_vertex_with(
     let from = partition.bucket_of(v);
     standing_with(
         objective,
-        graph,
-        partition,
-        nd,
         constraint,
+        from,
+        graph.data_neighbors(v).iter().map(|&q| nd.nonzero(q)),
         least_loaded,
         scratch,
-        v,
     )
     .resolve(constraint, from, least_loaded)
     .map(|(to, gain)| MoveProposal {
@@ -325,29 +318,35 @@ pub fn best_move_for_vertex_with(
     })
 }
 
-/// The kernel itself: vertex `v`'s [`Standing`], computed against `least_loaded`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn standing_with(
+/// The kernel itself: the [`Standing`] of a vertex in bucket `from`, computed against
+/// `least_loaded` from its neighbor data — the non-zero `(bucket, count)` entries of each of
+/// its queries, sorted by bucket, the queries in ascending id order. The in-process paths read
+/// them from [`NeighborData`]; a BSP data vertex reads the payloads it received, which the
+/// engine delivers in ascending sender order. Every gain is summed in query order, so both get
+/// the same bits. Under `All`, `scratch` must cover every bucket the entries name.
+pub(crate) fn standing_with<'n>(
     objective: &Objective,
-    graph: &BipartiteGraph,
-    partition: &Partition,
-    nd: &NeighborData,
     constraint: &TargetConstraint,
+    from: BucketId,
+    neighbor_data: impl Iterator<Item = &'n [(BucketId, u32)]> + Clone,
     least_loaded: BucketId,
     scratch: &mut GainScratch,
-    v: DataId,
 ) -> Standing {
-    let from = partition.bucket_of(v);
     match constraint {
         TargetConstraint::Siblings { allowed } => {
-            // The sibling candidate set is tiny (the recursion arity); per-target exact gains
-            // need no scratch and match the historical summation order exactly.
+            // The sibling candidate set is tiny (the recursion arity); each target's exact
+            // gain is summed like `move_gain` (from −0.0, in query order) and needs no scratch.
             let mut standing = Standing::NONE;
             for &to in allowed.get(from as usize).map_or(&[][..], Vec::as_slice) {
                 if to == from {
                     continue;
                 }
-                let gain = move_gain(objective, graph, partition, nd, v, to);
+                let gain: f64 = neighbor_data
+                    .clone()
+                    .map(|entries| {
+                        objective.per_query_gain(count_in(entries, from), count_in(entries, to))
+                    })
+                    .sum();
                 let keep = standing.to != NO_TARGET
                     && (standing.gain > gain || (standing.gain == gain && standing.to < to));
                 if !keep {
@@ -361,7 +360,6 @@ pub(crate) fn standing_with(
             if *k <= 1 {
                 return Standing::NONE;
             }
-            debug_assert!(scratch.num_buckets() >= partition.num_buckets());
             // One fused pass per query: find `n_from` with a linear scan of the (tiny) entry
             // list, evaluate the escape gain `g0 = per_query_gain(n_from, 0)` once, and reuse
             // it for the base gain and for every entry's adjustment. Bit-identical to the
@@ -371,8 +369,7 @@ pub(crate) fn standing_with(
             // `n_from` (reusing it cannot change a single bit), and per-bucket delta
             // accumulation keeps the same (query, entry) visit order.
             let mut base_gain = -0.0f64;
-            for &q in graph.data_neighbors(v) {
-                let entries = nd.nonzero(q);
+            for entries in neighbor_data {
                 let mut n_from = 0u32;
                 for &(b, c) in entries {
                     if b == from {

@@ -36,8 +36,9 @@ pub struct IncrementalConfig {
     /// Enforcement is deterministic and documented: the unbudgeted refinement runs first; when
     /// its result moves no more than `max_moves` vertices it is returned **bit-identically**.
     /// Otherwise the budget is spent on (1) the balance-repair moves the previous partition
-    /// needs under `epsilon` (mandatory — a budget smaller than that repair count is rejected
-    /// with [`ShpError::InfeasibleBudget`]), then (2) the refinement's moves ranked by their
+    /// needs under `epsilon`, the moves of [`enforce_balance`](crate::api::enforce_balance)
+    /// (mandatory — a budget smaller than that repair count is rejected with
+    /// [`ShpError::InfeasibleBudget`]), then (2) the refinement's moves ranked by their
     /// standalone gain on the previous partition, highest first, ties broken by ascending
     /// vertex id, each applied only if the destination bucket stays within its allowed weight.
     pub max_moves: Option<usize>,
@@ -150,7 +151,8 @@ pub fn partition_incremental(
     // returned unchanged (bit-identical to the unbudgeted run); otherwise the budget is spent
     // deterministically, repair first, then highest-gain moves.
     if let Some(budget) = incremental.max_moves {
-        let repair = balance_repair_moves(previous, config.epsilon);
+        let repair =
+            crate::api::balance_moves(previous, previous.max_allowed_weight(config.epsilon));
         if repair.len() > budget {
             return Err(ShpError::InfeasibleBudget {
                 required: repair.len(),
@@ -177,47 +179,6 @@ pub fn partition_incremental(
         elapsed,
     };
     Ok(PartitionResult { partition, report })
-}
-
-/// The deterministic moves a greedy balance repair of `partition` performs under `epsilon`:
-/// for every overloaded bucket (ascending id), its heaviest members (ties by ascending id) are
-/// moved to the least-loaded bucket able to accept them (ties by ascending id) until the
-/// bucket fits. Returns the empty list for an already-balanced partition.
-fn balance_repair_moves(partition: &Partition, epsilon: f64) -> Vec<(u32, u32)> {
-    let cap = partition.max_allowed_weight(epsilon);
-    let k = partition.num_buckets();
-    let mut weights = partition.bucket_weights().to_vec();
-    let mut moves = Vec::new();
-    for bucket in 0..k {
-        if weights[bucket as usize] <= cap {
-            continue;
-        }
-        let mut members = partition.bucket_members(bucket);
-        members.sort_unstable_by(|&x, &y| {
-            partition
-                .vertex_weight(y)
-                .cmp(&partition.vertex_weight(x))
-                .then(x.cmp(&y))
-        });
-        for vertex in members {
-            if weights[bucket as usize] <= cap {
-                break;
-            }
-            let weight = partition.vertex_weight(vertex);
-            let target = (0..k)
-                .filter(|&t| t != bucket && weights[t as usize] + weight <= cap)
-                .min_by(|&x, &y| {
-                    weights[x as usize]
-                        .cmp(&weights[y as usize])
-                        .then(x.cmp(&y))
-                });
-            let Some(target) = target else { continue };
-            weights[bucket as usize] -= weight;
-            weights[target as usize] += weight;
-            moves.push((vertex, target));
-        }
-    }
-    moves
 }
 
 /// Spends a migration budget the unbudgeted result `full` exceeded: the pre-validated

@@ -28,18 +28,10 @@ impl NeighborData {
         partition: &Partition,
         workers: usize,
     ) -> Self {
-        let counts: Vec<Vec<(BucketId, u32)>> =
-            rayon::pool::map_index(graph.num_queries(), workers, |q| {
-                let mut local: Vec<(BucketId, u32)> = Vec::new();
-                for &v in graph.query_neighbors(q as QueryId) {
-                    let b = partition.bucket_of(v);
-                    match local.binary_search_by_key(&b, |&(bb, _)| bb) {
-                        Ok(idx) => local[idx].1 += 1,
-                        Err(idx) => local.insert(idx, (b, 1)),
-                    }
-                }
-                local
-            });
+        let counts = rayon::pool::map_index(graph.num_queries(), workers, |q| {
+            let pins = graph.query_neighbors(q as QueryId);
+            bucket_counts(pins.iter().map(|&v| partition.bucket_of(v)))
+        });
         NeighborData { counts }
     }
 
@@ -51,11 +43,7 @@ impl NeighborData {
     /// Number of pins of query `q` in bucket `b` (0 if none).
     #[inline]
     pub fn count(&self, q: QueryId, b: BucketId) -> u32 {
-        let entry = &self.counts[q as usize];
-        match entry.binary_search_by_key(&b, |&(bb, _)| bb) {
-            Ok(idx) => entry[idx].1,
-            Err(_) => 0,
-        }
+        count_in(&self.counts[q as usize], b)
     }
 
     /// The non-zero `(bucket, count)` entries of query `q`, sorted by bucket.
@@ -156,6 +144,26 @@ impl NeighborData {
             .sum();
         total / self.counts.len() as f64
     }
+}
+
+/// The count of bucket `b` in a query's sorted non-zero entries (0 if none).
+#[inline]
+pub(crate) fn count_in(entries: &[(BucketId, u32)], b: BucketId) -> u32 {
+    let found = entries.binary_search_by_key(&b, |&(bb, _)| bb);
+    found.map_or(0, |idx| entries[idx].1)
+}
+
+/// One query's neighbor data, the sorted non-zero `(bucket, count)` entries, from the buckets
+/// of its pins (in-process) or of the messages it received (a BSP query vertex).
+pub(crate) fn bucket_counts(buckets: impl IntoIterator<Item = BucketId>) -> Vec<(BucketId, u32)> {
+    let mut counts: Vec<(BucketId, u32)> = Vec::new();
+    for b in buckets {
+        match counts.binary_search_by_key(&b, |&(bb, _)| bb) {
+            Ok(idx) => counts[idx].1 += 1,
+            Err(idx) => counts.insert(idx, (b, 1)),
+        }
+    }
+    counts
 }
 
 /// Fanout threshold at or below which [`locate_pair_linear`] (one cache-friendly scan) beats

@@ -67,6 +67,7 @@ pub fn partition_recursive(
             level.epsilon,
             level.seed,
         )
+        .with_bucket_shares(&level.child_targets)
         .with_workers(config.workers);
         let mut nd = NeighborData::build_with_workers(graph, &partition, config.workers);
         let level_history = refiner.run(

@@ -198,21 +198,20 @@ impl ActiveSet {
                 .copied()
                 .filter(|&v| state[v as usize] == Cached::Dirty),
         );
-        let dirty = &self.dirty;
+        let (dirty, graph) = (&self.dirty, refiner.graph);
         let fresh = rayon::pool::map_index_with(
             dirty.len(),
             refiner.workers,
             || GainScratch::new(partition.num_buckets()),
             |scratch, i| {
+                let v = dirty[i];
                 standing_with(
                     &refiner.objective,
-                    refiner.graph,
-                    partition,
-                    nd,
                     &refiner.constraint,
+                    partition.bucket_of(v),
+                    graph.data_neighbors(v).iter().map(|&q| nd.nonzero(q)),
                     least_loaded,
                     scratch,
-                    dirty[i],
                 )
             },
         );
@@ -456,6 +455,8 @@ pub struct Refiner<'a> {
     workers: usize,
     /// The previous assignment and the penalty of a move away from it.
     movement_penalty: Option<(&'a [BucketId], f64)>,
+    /// Every bucket's share of the final buckets; 1 each when `None`.
+    bucket_shares: Option<&'a [u32]>,
 }
 
 impl<'a> Refiner<'a> {
@@ -482,6 +483,7 @@ impl<'a> Refiner<'a> {
             seed,
             workers: 1,
             movement_penalty: None,
+            bucket_shares: None,
         }
     }
 
@@ -525,6 +527,11 @@ impl<'a> Refiner<'a> {
         self.movement_penalty
     }
 
+    /// Every bucket's share of the final buckets, if set.
+    pub fn bucket_shares(&self) -> Option<&'a [u32]> {
+        self.bucket_shares
+    }
+
     /// Subtracts `penalty` from the gain of every proposal whose target differs from the
     /// vertex's bucket in `previous` (one entry per data vertex), before swap coordination; a
     /// move back to that bucket keeps its full gain. This is the incremental update's penalty
@@ -541,6 +548,29 @@ impl<'a> Refiner<'a> {
         );
         self.movement_penalty = Some((previous, penalty));
         self
+    }
+
+    /// Sets every bucket's share of the final buckets (1 each by default), to which its
+    /// `(1 + ε)` capacity is proportional: SHP-r's shares differ where a bucket splits 3 → 2 + 1.
+    pub fn with_bucket_shares(mut self, shares: &'a [u32]) -> Self {
+        self.bucket_shares = Some(shares);
+        self
+    }
+
+    /// Every bucket's ideal weight `⌈total · share / Σ shares⌉` and `(1 + ε)` capacity
+    /// `⌊(1 + ε) · ideal⌋`, the one rule of the capacity trim and the imbalanced extras. Equal
+    /// shares reduce it to [`Partition::max_allowed_weight`] bit for bit.
+    fn capacities(&self, partition: &Partition) -> Vec<(u64, u64)> {
+        let k = partition.num_buckets() as usize;
+        let share = |b: usize| self.bucket_shares.map_or(1.0, |s| f64::from(s[b]));
+        let total_shares: f64 = (0..k).map(share).sum();
+        let total = partition.total_weight() as f64;
+        (0..k)
+            .map(|b| {
+                let ideal = (total * share(b) / total_shares).ceil();
+                (ideal as u64, ((1.0 + self.epsilon) * ideal).floor() as u64)
+            })
+            .collect()
     }
 
     /// Sets the worker-thread count used by the parallel phases of each iteration (gain
@@ -657,7 +687,7 @@ impl<'a> Refiner<'a> {
             // expectation; on small instances the variance accumulates into real imbalance over
             // many iterations. Guard the application step with the ε capacity so drift never
             // exceeds the allowed imbalance (large instances are virtually unaffected).
-            enforce_capacity(partition, &mut active.selected, self.epsilon);
+            enforce_capacity(partition, &mut active.selected, &self.capacities(partition));
         }
 
         if self.allow_imbalanced_moves {
@@ -665,7 +695,7 @@ impl<'a> Refiner<'a> {
                 partition,
                 &active.selected,
                 &mut active.unselected_positive,
-                self.epsilon,
+                &self.capacities(partition),
             );
             active.selected.extend(extra);
         }
@@ -767,16 +797,15 @@ fn enforce_strict_pairing(selected: Vec<MoveProposal>) -> Vec<MoveProposal> {
     result
 }
 
-/// Drops selected moves (worst gains first) whose target bucket would exceed the `(1 + ε)`
-/// capacity after accounting for the moves processed so far, leaving the kept moves in gain
-/// order. Departures free capacity as they are processed, so paired swaps generally survive;
-/// only drift-inducing surplus is trimmed.
-fn enforce_capacity(partition: &Partition, selected: &mut Vec<MoveProposal>, epsilon: f64) {
-    // A bucket must always be allowed to hold at least the ideal weight plus one vertex,
-    // otherwise tight instances would freeze entirely.
-    let cap = partition
-        .max_allowed_weight(epsilon)
-        .max((partition.total_weight() as f64 / partition.num_buckets() as f64).ceil() as u64 + 1);
+/// Drops selected moves (worst gains first) whose target bucket would exceed its `(1 + ε)`
+/// capacity ([`Refiner::capacities`]) after accounting for the moves processed so far,
+/// leaving the kept moves in gain order. Departures free capacity as they are processed, so
+/// paired swaps generally survive; only drift-inducing surplus is trimmed.
+fn enforce_capacity(
+    partition: &Partition,
+    selected: &mut Vec<MoveProposal>,
+    capacities: &[(u64, u64)],
+) {
     selected.sort_by(|a, b| {
         b.gain
             .partial_cmp(&a.gain)
@@ -785,7 +814,10 @@ fn enforce_capacity(partition: &Partition, selected: &mut Vec<MoveProposal>, eps
     let mut weights: Vec<u64> = partition.bucket_weights().to_vec();
     selected.retain(|p| {
         let w = partition.vertex_weight(p.vertex);
-        let fits = weights[p.to as usize] + w <= cap;
+        // A bucket must always be allowed to hold at least its ideal weight plus one vertex,
+        // otherwise tight instances would freeze entirely.
+        let (ideal, cap) = capacities[p.to as usize];
+        let fits = weights[p.to as usize] + w <= cap.max(ideal + 1);
         if fits {
             weights[p.to as usize] += w;
             weights[p.from as usize] -= w;
@@ -795,15 +827,14 @@ fn enforce_capacity(partition: &Partition, selected: &mut Vec<MoveProposal>, eps
 }
 
 /// Selects additional unpaired positive-gain moves as long as the target bucket stays within
-/// the `(1 + ε)` capacity, given the moves already selected (Section 3.4's use of the allowed
+/// its `(1 + ε)` capacity, given the moves already selected (Section 3.4's use of the allowed
 /// imbalance).
 fn select_imbalanced_extras(
     partition: &Partition,
     already_selected: &[MoveProposal],
     candidates: &mut [MoveProposal],
-    epsilon: f64,
+    capacities: &[(u64, u64)],
 ) -> Vec<MoveProposal> {
-    let cap = partition.max_allowed_weight(epsilon);
     // Projected weights after the already-selected moves.
     let mut weights: Vec<u64> = partition.bucket_weights().to_vec();
     for p in already_selected {
@@ -819,7 +850,7 @@ fn select_imbalanced_extras(
     let mut extras = Vec::new();
     for p in candidates.iter() {
         let w = partition.vertex_weight(p.vertex);
-        if weights[p.to as usize] + w <= cap {
+        if weights[p.to as usize] + w <= capacities[p.to as usize].1 {
             weights[p.to as usize] += w;
             weights[p.from as usize] -= w;
             extras.push(*p);

@@ -15,6 +15,7 @@ pub struct Context<'a, P: VertexProgram + ?Sized> {
     pub(crate) vertex: u32,
     pub(crate) outbox: &'a mut WorkerOutbox<P::Message>,
     pub(crate) aggregate: &'a mut P::Aggregate,
+    pub(crate) scratch: &'a mut P::Scratch,
     pub(crate) halt: &'a mut bool,
 }
 
@@ -52,7 +53,7 @@ impl<'a, P: VertexProgram + ?Sized> Context<'a, P> {
     /// Sends a message to vertex `to`, delivered at the start of the next superstep.
     pub fn send(&mut self, to: u32, message: P::Message) {
         let size = self.program.message_size(&message);
-        self.outbox.push(to, message, size);
+        self.outbox.push(self.vertex, to, message, size);
     }
 
     /// Sends a copy of `message` to every out-neighbor of the current vertex. Each copy is a
@@ -61,7 +62,7 @@ impl<'a, P: VertexProgram + ?Sized> Context<'a, P> {
     pub fn send_to_neighbors(&mut self, message: P::Message) {
         let size = self.program.message_size(&message);
         for &n in self.topology.neighbors(self.vertex) {
-            self.outbox.push(n, message.clone(), size);
+            self.outbox.push(self.vertex, n, message.clone(), size);
         }
     }
 
@@ -69,6 +70,11 @@ impl<'a, P: VertexProgram + ?Sized> Context<'a, P> {
     /// accumulator in place with [`crate::VertexProgram::merge_aggregates`].
     pub fn aggregate(&mut self, contribution: P::Aggregate) {
         self.program.merge_aggregates(self.aggregate, contribution);
+    }
+
+    /// The scratch of the worker computing this vertex ([`crate::VertexProgram::Scratch`]).
+    pub fn scratch(&mut self) -> &mut P::Scratch {
+        self.scratch
     }
 
     /// Votes to halt: the vertex will not be computed in later supersteps unless it receives a

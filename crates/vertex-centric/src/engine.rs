@@ -3,7 +3,7 @@
 use crate::context::Context;
 use crate::metrics::{ExecutionMetrics, SuperstepMetrics};
 use crate::program::{MasterOutcome, VertexProgram};
-use crate::routing::{group_inbox, route, WorkerOutbox};
+use crate::routing::{group_inbox, route, Envelope, WorkerOutbox};
 use crate::topology::Topology;
 use std::time::Instant;
 
@@ -38,16 +38,18 @@ impl EngineConfig {
     }
 }
 
-/// Per-worker state: the values and halt flags of the vertices it owns.
-struct WorkerState<V> {
+/// Per-worker state: the values and halt flags of the vertices it owns, and its scratch.
+struct WorkerState<V, S> {
     /// Values of owned vertices, indexed by local index (`vertex / num_workers`).
     values: Vec<V>,
     /// Halt flags of owned vertices.
     halted: Vec<bool>,
+    /// The program's worker-local scratch, kept across supersteps.
+    scratch: S,
 }
 
 /// One simulated worker's unit of superstep work: its mutable state and pending inbox.
-type WorkerTask<'a, V, M> = (&'a mut WorkerState<V>, Vec<(u32, M)>);
+type WorkerTask<'a, V, S, M> = (&'a mut WorkerState<V, S>, Vec<Envelope<M>>);
 
 /// Result produced by one worker for one superstep.
 struct WorkerStepResult<M, A> {
@@ -73,6 +75,7 @@ struct WorkerStepResult<M, A> {
 ///     type Message = u32;
 ///     type Aggregate = u64;
 ///     type Global = ();
+///     type Scratch = ();
 ///
 ///     fn compute(&self, ctx: &mut Context<'_, Self>, _v: u32, value: &mut u32, msgs: &[u32]) {
 ///         if ctx.superstep() == 0 {
@@ -100,11 +103,11 @@ pub struct Engine<P: VertexProgram> {
     program: P,
     config: EngineConfig,
     topology: Topology,
-    workers: Vec<WorkerState<P::Value>>,
+    workers: Vec<WorkerState<P::Value, P::Scratch>>,
     global: P::Global,
     metrics: ExecutionMetrics,
     /// Messages awaiting delivery, one inbox per worker.
-    inboxes: Vec<Vec<(u32, P::Message)>>,
+    inboxes: Vec<Vec<Envelope<P::Message>>>,
     superstep: usize,
 }
 
@@ -125,10 +128,11 @@ impl<P: VertexProgram> Engine<P> {
             "one initial value per vertex required"
         );
         let w = config.num_workers;
-        let mut workers: Vec<WorkerState<P::Value>> = (0..w)
+        let mut workers: Vec<WorkerState<P::Value, P::Scratch>> = (0..w)
             .map(|_| WorkerState {
                 values: Vec::new(),
                 halted: Vec::new(),
+                scratch: P::Scratch::default(),
             })
             .collect();
         for (v, value) in initial_values.into_iter().enumerate() {
@@ -211,7 +215,7 @@ impl<P: VertexProgram> Engine<P> {
         // Each simulated worker processes its vertices on its own real thread (one scoped
         // thread per worker, results collected in worker-index order so the merge below is
         // deterministic regardless of which worker finishes first).
-        let work: Vec<WorkerTask<'_, P::Value, P::Message>> =
+        let work: Vec<WorkerTask<'_, P::Value, P::Scratch, P::Message>> =
             self.workers.iter_mut().zip(inboxes).collect();
         let results: Vec<WorkerStepResult<P::Message, P::Aggregate>> =
             rayon::pool::map_vec(work, num_workers, |worker_idx, (state, inbox)| {
@@ -240,6 +244,7 @@ impl<P: VertexProgram> Engine<P> {
                             vertex,
                             outbox: &mut outbox,
                             aggregate: &mut aggregate,
+                            scratch: &mut state.scratch,
                             halt: &mut halt,
                         };
                         program.compute(&mut ctx, vertex, &mut state.values[local], incoming);
@@ -315,6 +320,7 @@ mod tests {
         type Message = u32;
         type Aggregate = u64; // number of label changes this superstep
         type Global = ();
+        type Scratch = ();
 
         fn compute(&self, ctx: &mut Context<'_, Self>, _v: u32, value: &mut u32, msgs: &[u32]) {
             let incoming_min = msgs.iter().copied().min();
@@ -438,6 +444,7 @@ mod tests {
         type Message = ();
         type Aggregate = usize;
         type Global = usize;
+        type Scratch = ();
 
         fn compute(&self, ctx: &mut Context<'_, Self>, _v: u32, value: &mut usize, _msgs: &[()]) {
             // Record the global value observed this superstep; never vote to halt.
@@ -505,6 +512,79 @@ mod tests {
         let (values, _global, metrics) = engine.into_parts();
         assert_eq!(values, vec![0, 1, 0, 1, 0]);
         assert!(metrics.num_supersteps() > 0);
+    }
+
+    /// Records every message a vertex receives in superstep 1: `(sender, i)` for the sender's
+    /// `i`-th out-edge, sent in superstep 0.
+    struct RecordSenders;
+
+    impl VertexProgram for RecordSenders {
+        type Value = Vec<(u32, usize)>;
+        type Message = (u32, usize);
+        type Aggregate = ();
+        type Global = ();
+        type Scratch = ();
+
+        fn compute(
+            &self,
+            ctx: &mut Context<'_, Self>,
+            vertex: u32,
+            value: &mut Vec<(u32, usize)>,
+            msgs: &[(u32, usize)],
+        ) {
+            if ctx.superstep() == 0 {
+                for (i, &n) in ctx.neighbors().iter().enumerate() {
+                    ctx.send(n, (vertex, i));
+                }
+            } else {
+                value.extend_from_slice(msgs);
+            }
+        }
+
+        fn merge_aggregates(&self, _into: &mut (), _other: ()) {}
+
+        fn master_compute(&self, superstep: usize, _agg: (), _g: &()) -> MasterOutcome<()> {
+            if superstep >= 1 {
+                MasterOutcome::Halt
+            } else {
+                MasterOutcome::Continue(())
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// On random directed multigraphs, at every worker count from 1 to 5, each vertex
+        /// receives its messages in ascending sender order, each sender's in send order.
+        #[test]
+        fn every_vertex_receives_in_ascending_sender_order(
+            num_vertices in 1usize..30,
+            edges in proptest::collection::vec((0usize..30, 0usize..30), 0..150),
+        ) {
+            let mut builder = TopologyBuilder::new(num_vertices);
+            for &(from, to) in &edges {
+                builder.add_edge((from % num_vertices) as u32, (to % num_vertices) as u32);
+            }
+            let topology = builder.build();
+            let expected: Vec<Vec<(u32, usize)>> = (0..num_vertices as u32)
+                .map(|v| {
+                    (0..num_vertices as u32)
+                        .flat_map(|u| {
+                            let out = topology.neighbors(u);
+                            (0..out.len()).filter(move |&i| out[i] == v).map(move |i| (u, i))
+                        })
+                        .collect()
+                })
+                .collect();
+            for workers in 1..=5 {
+                let initial = vec![Vec::new(); num_vertices];
+                let config = EngineConfig::new(workers, 4);
+                let mut engine = Engine::new(RecordSenders, topology.clone(), initial, config);
+                engine.run();
+                proptest::prop_assert_eq!(&engine.values(), &expected, "workers={}", workers);
+            }
+        }
     }
 
     #[test]

@@ -32,12 +32,14 @@
 //!   program whose message shares its payload behind an `Arc` (as SHP's neighbor data does)
 //!   sends it without copying the payload; the byte counters still charge
 //!   [`VertexProgram::message_size`] per copy.
-//! * **Grouping.** At the barrier [`routing::route`] concatenates the outboxes into one inbox
-//!   per worker, in sender-worker order. Each worker then groups its inbox with
-//!   [`routing::group_inbox`]: one counting sort over the worker-local vertex index into a flat
-//!   message array plus offsets, stable within each vertex, with the program's
-//!   [`VertexProgram::combine`] folded over each vertex's run in arrival order. A vertex's
-//!   `compute` sees its run as a slice of that array.
+//! * **Routing.** Each message carries its sender in what would be padding, and at the barrier
+//!   [`routing::route`] merges the outbox buffers, each sorted by sender, by sender. So every
+//!   vertex receives its messages in **ascending sender order** at any worker count: a float
+//!   fold over them gives the same bits on one worker or many (Pregel leaves it unspecified).
+//! * **Grouping.** Each worker groups its inbox with [`routing::group_inbox`]: one counting
+//!   sort over the worker-local vertex index into a flat message array plus offsets, stable
+//!   within each vertex, with [`VertexProgram::combine`] folded over each vertex's run in
+//!   arrival order. A vertex's `compute` sees its run as a slice of that array.
 //! * **Aggregating.** Each worker keeps one accumulator per superstep.
 //!   [`Context::aggregate`] merges a contribution into it in place
 //!   ([`VertexProgram::merge_aggregates`] takes `&mut` accumulator and the contribution by

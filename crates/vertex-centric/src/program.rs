@@ -20,6 +20,8 @@ pub enum MasterOutcome<G> {
 ///   corresponding to Giraph aggregators (SHP uses it for the swap matrix / gain histograms).
 /// * `Global` — the value computed by the master from the merged aggregate and broadcast to
 ///   every vertex for the next superstep (SHP uses it for move probabilities).
+/// * `Scratch` — worker-local working memory, made once per worker with `Default` and lent to
+///   its compute calls ([`Context::scratch`]), like Giraph's `WorkerContext`.
 ///
 /// The engine calls [`compute`](VertexProgram::compute) for every *active* vertex each
 /// superstep. A vertex is active if it received a message or has not voted to halt.
@@ -32,6 +34,9 @@ pub trait VertexProgram: Sync {
     type Aggregate: Clone + Send + Default;
     /// Global value computed by the master and visible to every vertex in the next superstep.
     type Global: Clone + Send + Sync + Default;
+    /// Worker-local scratch; which vertices share one depends on the worker count, so what a
+    /// compute call leaves in it must not change a later call's result.
+    type Scratch: Default + Send;
 
     /// Per-vertex compute function executed once per superstep for every active vertex.
     fn compute(

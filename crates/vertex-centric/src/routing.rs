@@ -1,5 +1,9 @@
 //! Message buffers, routing between simulated workers, and per-worker inbox grouping.
 
+/// A message in flight: `(destination vertex, sending vertex, message)`. For a message aligned
+/// to 8 bytes the sender fills what would be padding in a `(destination, message)` pair.
+pub type Envelope<M> = (u32, u32, M);
+
 /// Outgoing message buffers of one worker during one superstep, bucketed by destination worker.
 ///
 /// The buffers double as the communication accounting point: every `push` records whether the
@@ -7,8 +11,8 @@
 /// how many bytes the message would occupy on the wire.
 #[derive(Debug)]
 pub struct WorkerOutbox<M> {
-    /// `buffers[w]` holds `(destination_vertex, message)` pairs addressed to worker `w`.
-    buffers: Vec<Vec<(u32, M)>>,
+    /// `buffers[w]` holds the envelopes addressed to worker `w`, in push order.
+    buffers: Vec<Vec<Envelope<M>>>,
     /// Index of the sending worker (used to classify local vs. remote).
     sender: usize,
     /// Total messages pushed.
@@ -39,8 +43,10 @@ impl<M> WorkerOutbox<M> {
         self.buffers.len()
     }
 
-    /// Queues a message for `dest_vertex`, recording its estimated `size` in bytes.
-    pub fn push(&mut self, dest_vertex: u32, message: M, size: usize) {
+    /// Queues a message from `sender_vertex` to `dest_vertex`, recording its estimated `size`
+    /// in bytes. Senders must be pushed in ascending order, as a worker computes its vertices
+    /// ([`route`] relies on it).
+    pub fn push(&mut self, sender_vertex: u32, dest_vertex: u32, message: M, size: usize) {
         let dest_worker = dest_vertex as usize % self.buffers.len();
         self.messages += 1;
         self.bytes += size as u64;
@@ -48,31 +54,46 @@ impl<M> WorkerOutbox<M> {
             self.remote_messages += 1;
             self.remote_bytes += size as u64;
         }
-        self.buffers[dest_worker].push((dest_vertex, message));
+        self.buffers[dest_worker].push((dest_vertex, sender_vertex, message));
     }
 
     /// Consumes the outbox, returning the per-destination-worker buffers.
-    pub fn into_buffers(self) -> Vec<Vec<(u32, M)>> {
+    pub fn into_buffers(self) -> Vec<Vec<Envelope<M>>> {
         self.buffers
     }
 }
 
 /// Routes the outboxes of all workers into per-destination-worker inboxes.
 ///
-/// `inboxes[w]` receives, in sender-worker order, every message addressed to a vertex owned by
-/// worker `w`. The deterministic ordering (sender worker index, then send order) keeps engine
-/// runs reproducible.
-pub fn route<M>(outboxes: Vec<WorkerOutbox<M>>) -> Vec<Vec<(u32, M)>> {
+/// `inboxes[w]` receives every message addressed to a vertex owned by worker `w`, in ascending
+/// sender-vertex order, each sender's messages in send order. Since [`group_inbox`] keeps
+/// arrival order within each vertex, every vertex receives its messages in ascending sender
+/// order, whatever the worker count.
+pub fn route<M>(outboxes: Vec<WorkerOutbox<M>>) -> Vec<Vec<Envelope<M>>> {
     let num_workers = outboxes.first().map_or(0, |o| o.num_workers());
-    let mut inboxes: Vec<Vec<(u32, M)>> = (0..num_workers).map(|_| Vec::new()).collect();
-    let mut all_buffers: Vec<Vec<Vec<(u32, M)>>> =
-        outboxes.into_iter().map(|o| o.into_buffers()).collect();
-    for dest in 0..num_workers {
-        for sender_buffers in all_buffers.iter_mut() {
-            inboxes[dest].append(&mut sender_buffers[dest]);
-        }
-    }
-    inboxes
+    let mut buffers: Vec<_> = outboxes.into_iter().map(|o| o.into_buffers()).collect();
+    (0..num_workers)
+        .map(|dest| merge_by_sender(buffers.iter_mut().map(|b| std::mem::take(&mut b[dest]))))
+        .collect()
+}
+
+/// Merges buffers that are each sorted by sender into one sorted by sender, equal senders in
+/// buffer order: pairwise, from the first buffer on, so a single buffer is not copied.
+fn merge_by_sender<M>(buffers: impl Iterator<Item = Vec<Envelope<M>>>) -> Vec<Envelope<M>> {
+    buffers
+        .reduce(|earlier, later| {
+            if earlier.is_empty() || later.is_empty() {
+                return if earlier.is_empty() { later } else { earlier };
+            }
+            let mut merged = Vec::with_capacity(earlier.len() + later.len());
+            let (mut a, mut b) = (earlier.into_iter(), later.into_iter());
+            while let (Some(x), Some(y)) = (a.as_slice().first(), b.as_slice().first()) {
+                merged.extend(if y.1 < x.1 { b.next() } else { a.next() });
+            }
+            merged.extend(a.chain(b));
+            merged
+        })
+        .unwrap_or_default()
 }
 
 /// One worker's inbox grouped by destination vertex: a flat message array plus offsets.
@@ -114,7 +135,7 @@ impl<M> GroupedInbox<M> {
 /// Panics if a destination's local index is not below `local_vertex_count`, or if the inbox
 /// holds `u32::MAX` messages or more.
 pub fn group_inbox<M, F>(
-    mut inbox: Vec<(u32, M)>,
+    mut inbox: Vec<Envelope<M>>,
     num_workers: usize,
     local_vertex_count: usize,
     combiner: F,
@@ -129,7 +150,7 @@ where
     let local = |vertex: u32| vertex as usize / num_workers;
     // `starts[i]` is where vertex i's run begins in the sorted order.
     let mut starts = vec![0usize; local_vertex_count + 1];
-    for &(vertex, _) in &inbox {
+    for &(vertex, _, _) in &inbox {
         starts[local(vertex) + 1] += 1;
     }
     for i in 1..starts.len() {
@@ -139,7 +160,7 @@ where
     let mut cursor = starts.clone();
     let mut position: Vec<u32> = inbox
         .iter()
-        .map(|&(vertex, _)| {
+        .map(|&(vertex, _, _)| {
             let slot = &mut cursor[local(vertex)];
             *slot += 1;
             (*slot - 1) as u32
@@ -158,7 +179,7 @@ where
     let mut offsets = Vec::with_capacity(starts.len());
     offsets.push(0);
     let mut combined = 0u64;
-    let mut sorted = inbox.into_iter().map(|(_, message)| message);
+    let mut sorted = inbox.into_iter().map(|(_, _, message)| message);
     for run in starts.windows(2) {
         let first = messages.len();
         for message in sorted.by_ref().take(run[1] - run[0]) {
@@ -189,29 +210,61 @@ mod tests {
     #[test]
     fn outbox_classifies_local_and_remote() {
         let mut outbox: WorkerOutbox<u64> = WorkerOutbox::new(0, 2);
-        outbox.push(0, 10, 8); // vertex 0 -> worker 0 (local)
-        outbox.push(1, 20, 8); // vertex 1 -> worker 1 (remote)
-        outbox.push(2, 30, 8); // vertex 2 -> worker 0 (local)
-        outbox.push(3, 40, 8); // vertex 3 -> worker 1 (remote)
+        outbox.push(4, 0, 10, 8); // vertex 0 -> worker 0 (local)
+        outbox.push(4, 1, 20, 8); // vertex 1 -> worker 1 (remote)
+        outbox.push(6, 2, 30, 8); // vertex 2 -> worker 0 (local)
+        outbox.push(6, 3, 40, 8); // vertex 3 -> worker 1 (remote)
         assert_eq!(outbox.messages, 4);
         assert_eq!(outbox.remote_messages, 2);
         assert_eq!(outbox.bytes, 32);
         assert_eq!(outbox.remote_bytes, 16);
         let buffers = outbox.into_buffers();
-        assert_eq!(buffers[0], vec![(0, 10), (2, 30)]);
-        assert_eq!(buffers[1], vec![(1, 20), (3, 40)]);
+        assert_eq!(buffers[0], vec![(0, 4, 10), (2, 6, 30)]);
+        assert_eq!(buffers[1], vec![(1, 4, 20), (3, 6, 40)]);
     }
 
     #[test]
     fn route_concatenates_in_sender_order() {
+        // Worker 0 owns the even senders, worker 1 the odd ones; each inbox interleaves them
+        // by sender vertex, keeping each sender's messages in send order.
         let mut o0: WorkerOutbox<&str> = WorkerOutbox::new(0, 2);
-        o0.push(1, "from0", 1);
+        o0.push(0, 1, "0a", 1);
+        o0.push(2, 1, "2a", 1);
+        o0.push(2, 1, "2b", 1);
+        o0.push(4, 0, "4a", 1);
         let mut o1: WorkerOutbox<&str> = WorkerOutbox::new(1, 2);
-        o1.push(1, "from1", 1);
-        o1.push(0, "also-from1", 1);
+        o1.push(1, 1, "1a", 1);
+        o1.push(1, 0, "1b", 1);
+        o1.push(3, 1, "3a", 1);
+        o1.push(5, 1, "5a", 1);
         let inboxes = route(vec![o0, o1]);
-        assert_eq!(inboxes[0], vec![(0, "also-from1")]);
-        assert_eq!(inboxes[1], vec![(1, "from0"), (1, "from1")]);
+        assert_eq!(inboxes[0], vec![(0, 1, "1b"), (0, 4, "4a")]);
+        assert_eq!(
+            inboxes[1],
+            vec![
+                (1, 0, "0a"),
+                (1, 1, "1a"),
+                (1, 2, "2a"),
+                (1, 2, "2b"),
+                (1, 3, "3a"),
+                (1, 5, "5a"),
+            ]
+        );
+    }
+
+    #[test]
+    fn merge_keeps_equal_senders_in_buffer_order() {
+        let merged = merge_by_sender(
+            [
+                vec![(0, 3, 'a'), (0, 5, 'b')],
+                Vec::new(),
+                vec![(0, 3, 'c'), (0, 4, 'd')],
+                vec![(0, 1, 'e')],
+            ]
+            .into_iter(),
+        );
+        let order: String = merged.iter().map(|e| e.2).collect();
+        assert_eq!(order, "eacdb");
     }
 
     /// The grouped messages of every local vertex, in local-index order.
@@ -223,7 +276,7 @@ mod tests {
 
     #[test]
     fn group_inbox_without_combiner() {
-        let inbox = vec![(0u32, 1u32), (2, 2), (0, 3)];
+        let inbox = vec![(0u32, 0u32, 1u32), (2, 0, 2), (0, 1, 3)];
         // 2 workers; this is worker 0 owning vertices 0 and 2 (local indices 0 and 1).
         let inbox = group_inbox(inbox, 2, 2, |_, _| None);
         let (grouped, combined) = (runs(&inbox, 2), inbox.combined());
@@ -234,7 +287,7 @@ mod tests {
 
     #[test]
     fn group_inbox_with_summing_combiner() {
-        let inbox = vec![(0u32, 1u32), (0, 2), (0, 3), (2, 10)];
+        let inbox = vec![(0u32, 0u32, 1u32), (0, 1, 2), (0, 2, 3), (2, 3, 10)];
         let inbox = group_inbox(inbox, 2, 2, |a, b| Some(a + b));
         let (grouped, combined) = (runs(&inbox, 2), inbox.combined());
         assert_eq!(grouped[0], vec![6]);
@@ -245,7 +298,7 @@ mod tests {
     /// The per-vertex grouping the flat one replaced: one `Vec` per local vertex, each message
     /// combined into its vertex's last kept message or appended, in arrival order.
     fn reference_grouping<M, F>(
-        inbox: Vec<(u32, M)>,
+        inbox: Vec<Envelope<M>>,
         num_workers: usize,
         local_count: usize,
         combiner: F,
@@ -255,7 +308,7 @@ mod tests {
     {
         let mut grouped: Vec<Vec<M>> = (0..local_count).map(|_| Vec::new()).collect();
         let mut combined = 0u64;
-        for (vertex, message) in inbox {
+        for (vertex, _, message) in inbox {
             let slot = &mut grouped[vertex as usize / num_workers];
             if let Some(merged) = slot.last().and_then(|last| combiner(last, &message)) {
                 *slot.last_mut().expect("slot non-empty") = merged;
@@ -281,10 +334,11 @@ mod tests {
             draws in prop::collection::vec((0usize..64, 0u64..100), 0..80),
         ) {
             let worker = worker % num_workers;
-            let inbox: Vec<(u32, u64)> = draws
+            let inbox: Vec<Envelope<u64>> = draws
                 .iter()
-                .map(|&(dest, message)| {
-                    (((dest % local_count) * num_workers + worker) as u32, message)
+                .enumerate()
+                .map(|(sender, &(dest, message))| {
+                    (((dest % local_count) * num_workers + worker) as u32, sender as u32, message)
                 })
                 .collect();
             let parity = |a: &u64, b: &u64| ((a ^ b) & 1 == 0).then_some(a + b);
@@ -303,7 +357,7 @@ mod tests {
 
     #[test]
     fn route_empty_outboxes() {
-        let inboxes: Vec<Vec<(u32, u8)>> = route(Vec::new());
+        let inboxes: Vec<Vec<Envelope<u8>>> = route(Vec::new());
         assert!(inboxes.is_empty());
     }
 }

@@ -5,10 +5,11 @@
 //!
 //! The claim under test: a superstep's heap allocations grow with the number of vertices, not
 //! with the number of pins. A query sends one shared neighbor-data payload to all its data
-//! vertices, each worker groups its inbox into one flat array, and aggregates merge in place,
-//! so a whole `partition_distributed` call — engine set-up included — stays within two
-//! allocations per vertex (|Q| + |D|) per SHP iteration. A payload copied per pin and a `Vec`
-//! per receiving vertex cost about four.
+//! vertices, each worker groups its inbox into one flat array, aggregates merge in place, and a
+//! data vertex computes its gains in its worker's reused scratch, so a whole
+//! `partition_distributed` call — engine set-up included — stays within 1.5 allocations per
+//! vertex (|Q| + |D|) per SHP iteration. A payload copied per pin and a `Vec` per receiving
+//! vertex cost about four; a `Vec` of gain deltas per data vertex costs about 1.7–1.9.
 
 use shp::core::{partition_distributed, ShpConfig};
 use shp::datagen::Dataset;
@@ -59,7 +60,7 @@ fn bsp_allocations_grow_with_vertices_not_pins() {
             config.mode
         );
         assert!(
-            per_vertex_iteration <= 2.0,
+            per_vertex_iteration <= 1.5,
             "{:?} made {per_vertex_iteration:.2} allocations per vertex per iteration",
             config.mode
         );

@@ -6,7 +6,7 @@ use shp::core::{
     partition_direct, partition_distributed, partition_recursive, ObjectiveKind, ShpConfig,
 };
 use shp::datagen::{planted_partition, social_graph, Dataset, PlantedConfig, SocialGraphConfig};
-use shp::hypergraph::{average_fanout, average_p_fanout, io, GraphStats};
+use shp::hypergraph::{average_fanout, average_p_fanout, io, GraphStats, Partition};
 
 fn workload(users: usize, seed: u64) -> shp::hypergraph::BipartiteGraph {
     social_graph(&SocialGraphConfig {
@@ -308,4 +308,30 @@ fn balance_holds_across_bucket_counts() {
                 <= average_fanout(&graph, &result.partition) + 1e-9
         );
     }
+}
+
+/// At k = 3 the first SHP-r level splits the root into children standing for 2 and 1 final
+/// buckets. Each child's ε capacity is proportional to its share, so the moves into the
+/// larger child are not all trimmed: the result keeps ε and nearly recovers the planted
+/// blocks.
+#[test]
+fn uneven_splits_keep_epsilon_and_recover_the_planted_blocks() {
+    let (graph, truth) = planted_partition(&PlantedConfig {
+        num_blocks: 3,
+        block_size: 200,
+        num_queries: 3_000,
+        query_degree: 6,
+        noise: 0.02,
+        seed: 7,
+    });
+    let config = ShpConfig::recursive_bisection(3).with_seed(3);
+    let result = partition_recursive(&graph, &config).unwrap();
+    let truth = Partition::from_assignment(&graph, 3, truth).unwrap();
+    let (imbalance, fanout) = (result.report.imbalance, result.report.final_fanout);
+    println!(
+        "imbalance {imbalance:.3}, fanout {fanout:.3}, planted fanout {:.3}",
+        average_fanout(&graph, &truth)
+    );
+    assert!(imbalance <= config.epsilon, "imbalance {imbalance}");
+    assert!(fanout < 1.1, "fanout {fanout}");
 }

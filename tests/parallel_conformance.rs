@@ -20,7 +20,8 @@ use shp::baselines::full_registry;
 use shp::core::api::{NoopObserver, PartitionOutcome, PartitionSpec, TraceObserver};
 use shp::core::gains::{self, TargetConstraint};
 use shp::core::{
-    partition_direct, BalanceMode, NeighborData, Objective, Refiner, ShpConfig, SwapStrategy,
+    partition_direct, partition_distributed, partition_recursive, BalanceMode, NeighborData,
+    Objective, Refiner, ShpConfig, SwapStrategy,
 };
 use shp::datagen::{planted_partition, power_law_bipartite, PlantedConfig, PowerLawConfig};
 use shp::hypergraph::{BipartiteGraph, GraphBuilder, Partition};
@@ -95,6 +96,7 @@ fn all_registry_algorithms_are_bit_identical_across_worker_counts() {
     for (graph_name, graph, k) in [
         ("planted", planted_graph(), 4u32),
         ("power-law", power_law_graph(), 8u32),
+        ("power-law", power_law_graph(), 6u32),
     ] {
         for name in registry.names() {
             let mut baseline: Option<(Vec<u32>, u64, u64, u64, usize, u64)> = None;
@@ -147,6 +149,70 @@ fn iteration_traces_are_identical_across_worker_counts() {
                     &events, expected,
                     "{name}: iteration trace diverged at workers={workers}"
                 ),
+            }
+        }
+    }
+}
+
+/// Where the ε capacity trim cannot bind (ε = 10⁶, the default balance mode, imbalanced moves
+/// off), the BSP path and the in-process paths run the same SHP iteration: the same gain
+/// kernel over the same neighbor data in the same query order, the same least-loaded bucket,
+/// probabilities and coins. So `partition_distributed` must return exactly the assignment and
+/// the per-iteration move counts of `partition_recursive` (arity 2) and `partition_direct`, at
+/// every worker count, on graphs with vertices without queries and with vertex weights, at
+/// power-of-two and other `k`.
+#[test]
+fn bsp_equals_in_process_where_the_trim_cannot_bind() {
+    let weighted = {
+        let plain = planted_graph();
+        let mut b = GraphBuilder::new();
+        for q in plain.queries() {
+            b.add_query(plain.query_neighbors(q).iter().copied());
+        }
+        // A few keys no query reads, and weights 1–3.
+        let num_data = plain.num_data() as u32 + 7;
+        b.set_data_weights((0..num_data).map(|v| 1 + v % 3).collect());
+        b.ensure_data_count(num_data as usize);
+        b.build().expect("valid graph")
+    };
+    // Workers 1–4, plus the count `SHP_TEST_WORKERS` adds to `worker_counts()`.
+    let counts: Vec<usize> = (1..=4).chain(worker_counts().into_iter().skip(4)).collect();
+    for (graph_name, graph, ks) in [
+        ("planted", planted_graph(), [3u32, 8]),
+        ("power-law", power_law_graph(), [2, 5]),
+        ("weighted", weighted, [4, 6]),
+    ] {
+        for k in ks {
+            for mode in ["recursive", "direct"] {
+                let base = match mode {
+                    "recursive" => ShpConfig::recursive_bisection(k),
+                    _ => ShpConfig::direct(k),
+                };
+                let mut config = base.with_seed(7).with_max_iterations(8);
+                config.epsilon = 1e6;
+                let (assignment, moved): (Vec<u32>, Vec<u64>) = {
+                    let result = match mode {
+                        "recursive" => partition_recursive(&graph, &config),
+                        _ => partition_direct(&graph, &config),
+                    }
+                    .expect("valid configuration");
+                    let moved = result.report.history.iter().map(|s| s.moved as u64);
+                    (result.partition.assignment().to_vec(), moved.collect())
+                };
+                assert!(
+                    moved.iter().any(|&m| m > 0),
+                    "{graph_name} {mode} k={k}: nothing moved"
+                );
+                for &workers in &counts {
+                    let bsp = partition_distributed(&graph, &config, workers)
+                        .expect("valid configuration");
+                    let bsp_moved: Vec<u64> = bsp.history.iter().map(|s| s.moved).collect();
+                    assert_eq!(
+                        (bsp.partition.assignment(), &bsp_moved),
+                        (assignment.as_slice(), &moved),
+                        "{graph_name} {mode} k={k}: BSP diverged at workers={workers}"
+                    );
+                }
             }
         }
     }

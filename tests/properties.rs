@@ -384,7 +384,8 @@ proptest! {
     /// fanout, p-fanout, or p-fanout with a p so small that every touched bucket ties with the
     /// base gain; and the runs cover `All` with k at or above the bucket count, both swap
     /// strategies, both balance modes, imbalanced moves on and off, no penalty or a penalty of
-    /// 0 or more against a random previous assignment, and 1–4 workers.
+    /// 0 or more against a random previous assignment, equal or unequal bucket shares, and 1–4
+    /// workers.
     #[test]
     fn refiner_run_matches_the_oracle_iteration_loop(
         edges in arb_hypergraph(30, 24),
@@ -397,6 +398,7 @@ proptest! {
         epsilon in 0.05f64..0.6,
         workers in 1usize..5,
         seed in 0u64..1000,
+        shares in prop::collection::vec(0u32..4, 6..7usize),
     ) {
         let mut builder = GraphBuilder::new();
         for pins in edges {
@@ -441,6 +443,11 @@ proptest! {
         if penalty_choice > 0 {
             let penalty = if penalty_choice == 1 { 0.0 } else { 0.1 + seed as f64 / 1000.0 };
             refiner = refiner.with_movement_penalty(&previous, penalty);
+        }
+        // Unequal bucket shares (as SHP-r's uneven splits have) unless the draw holds a zero.
+        let shares = &shares[..buckets as usize];
+        if shares.iter().all(|&s| s > 0) {
+            refiner = refiner.with_bucket_shares(shares);
         }
 
         let mut partition = initial.clone();
