@@ -32,7 +32,7 @@ use crate::config::{PartitionMode, ShpConfig, SwapStrategy};
 use crate::error::{ShpError, ShpResult};
 use crate::gains::{standing_with, GainScratch, MoveProposal, TargetConstraint};
 use crate::histogram::GainHistogramSet;
-use crate::neighbor_data::bucket_counts;
+use crate::neighbor_data::count_buckets;
 use crate::objective::Objective;
 use crate::pair_table::PairLayout;
 use crate::recursive::split_schedule;
@@ -43,9 +43,9 @@ use rand_pcg::Pcg64;
 use serde::{Deserialize, Serialize};
 use shp_hypergraph::{average_fanout, average_p_fanout, BipartiteGraph, BucketId, Partition};
 use shp_vertex_centric::{
-    Context, Engine, EngineConfig, ExecutionMetrics, MasterOutcome, TopologyBuilder, VertexProgram,
+    Context, Engine, EngineConfig, ExecutionMetrics, MasterOutcome, Messages, Topology,
+    VertexProgram,
 };
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-iteration statistics reported by the distributed master.
@@ -88,37 +88,79 @@ enum ShpValue {
 }
 
 /// Messages exchanged along bipartite edges.
+///
+/// The engine stores a message once in the sending worker's outbox, however many vertices it
+/// is sent to, and each receiver reads it in place; [`VertexProgram::message_size`] still
+/// charges every receiver its wire size (Section 3.3's accounting).
 #[derive(Debug, Clone)]
 enum ShpMessage {
     /// Data → query: the sender's current bucket.
     Bucket(BucketId),
-    /// Query → data: the query's non-zero neighbor data `n_i(q)`, as (bucket, count) pairs in
-    /// ascending bucket order. A query builds it once per iteration and every adjacent data
-    /// vertex receives a reference to that one immutable payload, so sending it costs no copy
-    /// per pin; [`VertexProgram::message_size`] still charges 8 bytes per entry per copy, the
-    /// wire size of Section 3.3's accounting.
-    NeighborData(Arc<[(BucketId, u32)]>),
+    /// Query → data: the query's non-zero neighbor data `n_i(q)`, built once per iteration and
+    /// sent to all its pins; charged 8 bytes per entry.
+    NeighborData(NeighborCounts),
+}
+
+/// A query's non-zero neighbor data as sent: `(bucket, count)` pairs in ascending bucket
+/// order. Up to two entries are stored inline, so a query whose pins sit in at most two
+/// buckets allocates nothing to send them.
+#[derive(Debug, Clone)]
+enum NeighborCounts {
+    Inline(u8, [(BucketId, u32); 2]),
+    Boxed(Box<[(BucketId, u32)]>),
+}
+
+impl NeighborCounts {
+    fn new(counts: &[(BucketId, u32)]) -> Self {
+        match *counts {
+            [one] => NeighborCounts::Inline(1, [one, (0, 0)]),
+            [one, two] => NeighborCounts::Inline(2, [one, two]),
+            _ => NeighborCounts::Boxed(counts.into()),
+        }
+    }
+
+    fn as_slice(&self) -> &[(BucketId, u32)] {
+        match self {
+            NeighborCounts::Inline(len, entries) => &entries[..usize::from(*len)],
+            NeighborCounts::Boxed(entries) => entries,
+        }
+    }
 }
 
 /// Per-superstep aggregate collected by the master.
 ///
-/// A vertex contributes at most one `proposal` or one `weight`.
-/// [`VertexProgram::merge_aggregates`] folds it, in place, into the `histograms` or
-/// `bucket_weights` of its worker's accumulator, so a contribution allocates no table and each
-/// worker builds exactly one histogram set per superstep. That set is laid out by the
-/// program's constraint ([`TargetConstraint::pair_layout`]): under SHP-2's sibling constraint
-/// it holds one slot per sibling pair, under `All` the k² pair index. The master merges the
-/// workers' accumulators, which share that layout, in worker-index order.
+/// A vertex adds its share to its worker's accumulator in place ([`Context::accumulator`]): a
+/// gain proposal to `histograms`, a weight to `bucket_weights`, a move to `moved`, a fanout to
+/// `fanout_sum`. So a contribution allocates nothing and each worker builds exactly one
+/// histogram set per superstep, laid out by the program's constraint
+/// ([`TargetConstraint::pair_layout`]): under SHP-2's sibling constraint one slot per sibling
+/// pair, under `All` the k² pair index. The master merges the workers' accumulators, which
+/// share that layout, in worker-index order ([`VertexProgram::merge_aggregates`]).
 #[derive(Debug, Clone, Default)]
 struct ShpAggregate {
     histograms: GainHistogramSet,
-    proposal: Option<MoveProposal>,
-    /// Under `All`: the weight of every bucket, summed from the data vertices' `weight`
-    /// contributions `(bucket, vertex weight)`.
+    /// Under `All`: the weight of every bucket.
     bucket_weights: Vec<u64>,
-    weight: Option<(BucketId, u64)>,
     moved: u64,
     fanout_sum: u64,
+}
+
+impl ShpAggregate {
+    /// The histogram set, laid out by `layout` before its first proposal.
+    fn histograms(&mut self, layout: &PairLayout) -> &mut GainHistogramSet {
+        if self.histograms.num_pairs() == 0 {
+            self.histograms = GainHistogramSet::with_layout(layout.clone());
+        }
+        &mut self.histograms
+    }
+}
+
+/// A worker's scratch: the gain kernel's, created at the worker's first gain superstep, and
+/// the buffer its query vertices count their neighbor data in.
+#[derive(Debug, Default)]
+struct ShpScratch {
+    gains: Option<GainScratch>,
+    counts: Vec<(BucketId, u32)>,
 }
 
 /// Global value broadcast by the master.
@@ -162,15 +204,14 @@ impl VertexProgram for ShpProgram<'_> {
     type Message = ShpMessage;
     type Aggregate = ShpAggregate;
     type Global = ShpGlobal;
-    /// The worker's gain scratch, created at its first gain superstep.
-    type Scratch = Option<GainScratch>;
+    type Scratch = ShpScratch;
 
     fn compute(
         &self,
         ctx: &mut Context<'_, Self>,
         vertex: u32,
         value: &mut ShpValue,
-        messages: &[ShpMessage],
+        messages: Messages<'_, ShpMessage>,
     ) {
         let phase = ctx.superstep() % 4;
         match value {
@@ -179,27 +220,28 @@ impl VertexProgram for ShpProgram<'_> {
                     // Superstep 1: send the current bucket to all adjacent queries, and under
                     // `All` the vertex weight to the master.
                     ctx.send_to_neighbors(ShpMessage::Bucket(*bucket));
-                    if self.all_buckets().is_some() {
-                        ctx.aggregate(ShpAggregate {
-                            weight: Some((*bucket, u64::from(self.graph.data_weight(vertex)))),
-                            ..Default::default()
-                        });
+                    if let Some(k) = self.all_buckets() {
+                        let weights = &mut ctx.accumulator().bucket_weights;
+                        weights.resize(k as usize, 0);
+                        weights[*bucket as usize] += u64::from(self.graph.data_weight(vertex));
                     }
                 }
                 2 => {
                     // Superstep 3: the in-process gain kernel over the received neighbor data,
-                    // one payload per adjacent query in ascending query order. The
-                    // contribution carries the bare proposal; the per-worker accumulator folds
-                    // it into its histogram set (see `merge_aggregates`).
+                    // one payload per adjacent query in ascending query order, and the
+                    // proposal into the worker's histogram set.
                     let least_loaded = ctx.global().least_loaded;
                     let k = self.all_buckets().unwrap_or(0);
-                    let scratch = ctx.scratch().get_or_insert_with(|| GainScratch::new(k));
+                    let scratch = ctx
+                        .scratch()
+                        .gains
+                        .get_or_insert_with(|| GainScratch::new(k));
                     *proposal = standing_with(
                         &self.objective,
                         &self.constraint,
                         *bucket,
                         messages.iter().filter_map(|m| match m {
-                            ShpMessage::NeighborData(counts) => Some(&counts[..]),
+                            ShpMessage::NeighborData(counts) => Some(counts.as_slice()),
                             ShpMessage::Bucket(_) => None,
                         }),
                         least_loaded,
@@ -207,15 +249,15 @@ impl VertexProgram for ShpProgram<'_> {
                     )
                     .resolve(&self.constraint, *bucket, least_loaded);
                     if let Some((to, gain)) = *proposal {
-                        ctx.aggregate(ShpAggregate {
-                            proposal: Some(MoveProposal {
-                                vertex,
-                                from: *bucket,
-                                to,
-                                gain,
-                            }),
-                            ..Default::default()
-                        });
+                        let candidate = MoveProposal {
+                            vertex,
+                            from: *bucket,
+                            to,
+                            gain,
+                        };
+                        ctx.accumulator()
+                            .histograms(&self.pair_layout)
+                            .record(&candidate);
                     }
                 }
                 3 => {
@@ -231,10 +273,7 @@ impl VertexProgram for ShpProgram<'_> {
                         let iteration = ctx.global().iteration as u64;
                         if prob > 0.0 && unit_hash(self.seed, iteration, vertex as u64) < prob {
                             *bucket = to;
-                            ctx.aggregate(ShpAggregate {
-                                moved: 1,
-                                ..Default::default()
-                            });
+                            ctx.accumulator().moved += 1;
                         }
                     }
                 }
@@ -242,18 +281,19 @@ impl VertexProgram for ShpProgram<'_> {
             },
             ShpValue::Query => {
                 if phase == 1 {
-                    // Superstep 2: aggregate buckets into neighbor data, report fanout, and send
-                    // the non-zero entries back to the adjacent data vertices.
-                    let counts = bucket_counts(messages.iter().filter_map(|m| match m {
+                    // Superstep 2: count the received buckets into neighbor data in the
+                    // worker's buffer, report the fanout, and send the non-zero entries back to
+                    // the adjacent data vertices.
+                    let counts = &mut ctx.scratch().counts;
+                    let buckets = messages.iter().filter_map(|m| match m {
                         ShpMessage::Bucket(b) => Some(*b),
                         ShpMessage::NeighborData(_) => None,
-                    }));
+                    });
+                    count_buckets(buckets, counts);
                     if !counts.is_empty() {
-                        ctx.aggregate(ShpAggregate {
-                            fanout_sum: counts.len() as u64,
-                            ..Default::default()
-                        });
-                        ctx.send_to_neighbors(ShpMessage::NeighborData(counts.into()));
+                        let (fanout, payload) = (counts.len(), NeighborCounts::new(counts));
+                        ctx.accumulator().fanout_sum += fanout as u64;
+                        ctx.send_to_neighbors(ShpMessage::NeighborData(payload));
                     }
                 }
             }
@@ -268,26 +308,11 @@ impl VertexProgram for ShpProgram<'_> {
         } else {
             into.histograms.merge(&other.histograms);
         }
-        // Fold pending single-proposal contributions into the accumulator's table; histogram
-        // bins are commutative counters, so any merge association yields the same set.
-        for p in [other.proposal, into.proposal.take()].into_iter().flatten() {
-            if into.histograms.num_pairs() == 0 {
-                into.histograms = GainHistogramSet::with_layout(self.pair_layout.clone());
-            }
-            into.histograms.record(&p);
-        }
-        // Bucket weights the same way: a worker's accumulator sums its vertices' weights in
-        // place, the master the workers' sums.
         if into.bucket_weights.len() < other.bucket_weights.len() {
             into.bucket_weights.resize(other.bucket_weights.len(), 0);
         }
         for (sum, w) in into.bucket_weights.iter_mut().zip(&other.bucket_weights) {
             *sum += w;
-        }
-        for (b, w) in [other.weight, into.weight.take()].into_iter().flatten() {
-            into.bucket_weights
-                .resize(self.all_buckets().unwrap_or(0) as usize, 0);
-            into.bucket_weights[b as usize] += w;
         }
         into.moved += other.moved;
         into.fanout_sum += other.fanout_sum;
@@ -365,7 +390,7 @@ impl VertexProgram for ShpProgram<'_> {
     fn message_size(&self, message: &ShpMessage) -> usize {
         match message {
             ShpMessage::Bucket(_) => 4,
-            ShpMessage::NeighborData(counts) => 8 * counts.len(),
+            ShpMessage::NeighborData(counts) => 8 * counts.as_slice().len(),
         }
     }
 }
@@ -393,6 +418,7 @@ pub fn partition_distributed(
     let start = Instant::now();
     let mut metrics = ExecutionMetrics::new(num_workers);
     let mut history = Vec::new();
+    let topology = bipartite_topology(graph);
 
     let assignment = match config.mode {
         PartitionMode::Direct => {
@@ -400,6 +426,7 @@ pub fn partition_distributed(
             let initial = Partition::new_random(graph, config.num_buckets, &mut rng)?;
             run_level(
                 graph,
+                &topology,
                 config,
                 initial.assignment(),
                 Objective::from_kind(config.objective),
@@ -415,6 +442,7 @@ pub fn partition_distributed(
             for level in split_schedule(config, arity) {
                 assignment = run_level(
                     graph,
+                    &topology,
                     config,
                     &level.split(&assignment),
                     level.objective,
@@ -440,11 +468,27 @@ pub fn partition_distributed(
     })
 }
 
+/// The engine's view of `graph`: data vertices first, then query vertices, with both directions
+/// of every pin.
+fn bipartite_topology(graph: &BipartiteGraph) -> Topology {
+    let num_data = graph.num_data() as u32;
+    let edges = (0..graph.num_queries() as u32).flat_map(move |q| {
+        let query = num_data + q;
+        graph
+            .query_neighbors(q)
+            .iter()
+            .flat_map(move |&v| [(query, v), (v, query)])
+    });
+    Topology::from_edges(graph.num_data() + graph.num_queries(), edges)
+}
+
 /// Runs one engine job (one recursion level or the whole direct optimization) of at most
-/// `config.max_iterations` iterations, returning the final bucket assignment.
+/// `config.max_iterations` iterations over `topology` ([`bipartite_topology`]), returning the
+/// final bucket assignment.
 #[allow(clippy::too_many_arguments)]
 fn run_level(
     graph: &BipartiteGraph,
+    topology: &Topology,
     config: &ShpConfig,
     initial_assignment: &[BucketId],
     objective: Objective,
@@ -456,11 +500,6 @@ fn run_level(
 ) -> Vec<BucketId> {
     let num_data = graph.num_data();
     let num_queries = graph.num_queries();
-    // Vertex universe: data vertices first, then query vertices.
-    let mut topo = TopologyBuilder::new(num_data + num_queries);
-    for (q, v) in graph.edges() {
-        topo.add_undirected_edge(num_data as u32 + q, v);
-    }
     let mut values: Vec<ShpValue> = Vec::with_capacity(num_data + num_queries);
     for &b in initial_assignment {
         values.push(ShpValue::Data {
@@ -482,7 +521,7 @@ fn run_level(
         seed,
     };
     let engine_config = EngineConfig::new(num_workers, config.max_iterations * 4 + 4);
-    let mut engine = Engine::new(program, topo.build(), values, engine_config);
+    let mut engine = Engine::new(program, topology, values, engine_config);
     engine.run();
 
     let base = history.len();
@@ -639,6 +678,7 @@ mod tests {
         let mut history = Vec::new();
         let out = run_level(
             &graph,
+            &bipartite_topology(&graph),
             &config,
             &initial,
             Objective::from_kind(config.objective),
@@ -657,14 +697,43 @@ mod tests {
     }
 
     #[test]
-    fn messages_carry_their_sender_in_padding() {
-        // A queued message is `(destination, sender, message)`: the sender id fills what would
-        // be padding after the destination, so it costs no memory.
-        assert_eq!(std::mem::size_of::<ShpMessage>(), 16);
+    fn an_envelope_is_twelve_bytes_whatever_the_message() {
+        // A queued message is `(destination, sender, payload index)`; the payload itself is
+        // stored once per send in the sender's outbox, so a message type larger than the
+        // envelope, as `ShpMessage` is, does not grow it.
         assert_eq!(
-            std::mem::size_of::<shp_vertex_centric::routing::Envelope<ShpMessage>>(),
-            std::mem::size_of::<(u32, ShpMessage)>()
+            std::mem::size_of::<shp_vertex_centric::routing::Envelope>(),
+            12
         );
+        assert!(std::mem::size_of::<ShpMessage>() > 12);
+    }
+
+    #[test]
+    fn neighbor_counts_round_trip_inline_and_boxed() {
+        for entries in [
+            &[][..],
+            &[(3, 1)],
+            &[(0, 2), (5, 1)],
+            &[(0, 1), (1, 1), (7, 4)],
+        ] {
+            assert_eq!(NeighborCounts::new(entries).as_slice(), entries);
+        }
+        assert!(matches!(
+            NeighborCounts::new(&[(0, 2), (5, 1)]),
+            NeighborCounts::Inline(2, _)
+        ));
+    }
+
+    #[test]
+    fn the_topology_lists_both_directions_of_every_pin_in_edge_order() {
+        let graph = community_graph(2, 3);
+        let topology = bipartite_topology(&graph);
+        let num_data = graph.num_data() as u32;
+        let mut builder = shp_vertex_centric::TopologyBuilder::new(topology.num_vertices());
+        for (q, v) in graph.edges() {
+            builder.add_undirected_edge(num_data + q, v);
+        }
+        assert_eq!(topology, builder.build());
     }
 
     #[test]

@@ -30,7 +30,9 @@ impl NeighborData {
     ) -> Self {
         let counts = rayon::pool::map_index(graph.num_queries(), workers, |q| {
             let pins = graph.query_neighbors(q as QueryId);
-            bucket_counts(pins.iter().map(|&v| partition.bucket_of(v)))
+            let mut counts = Vec::new();
+            count_buckets(pins.iter().map(|&v| partition.bucket_of(v)), &mut counts);
+            counts
         });
         NeighborData { counts }
     }
@@ -153,17 +155,20 @@ pub(crate) fn count_in(entries: &[(BucketId, u32)], b: BucketId) -> u32 {
     found.map_or(0, |idx| entries[idx].1)
 }
 
-/// One query's neighbor data, the sorted non-zero `(bucket, count)` entries, from the buckets
-/// of its pins (in-process) or of the messages it received (a BSP query vertex).
-pub(crate) fn bucket_counts(buckets: impl IntoIterator<Item = BucketId>) -> Vec<(BucketId, u32)> {
-    let mut counts: Vec<(BucketId, u32)> = Vec::new();
+/// Fills `counts` with one query's neighbor data, the sorted non-zero `(bucket, count)`
+/// entries, from the buckets of its pins (in-process) or of the messages it received (a BSP
+/// query vertex, into its worker's reused buffer).
+pub(crate) fn count_buckets(
+    buckets: impl IntoIterator<Item = BucketId>,
+    counts: &mut Vec<(BucketId, u32)>,
+) {
+    counts.clear();
     for b in buckets {
         match counts.binary_search_by_key(&b, |&(bb, _)| bb) {
             Ok(idx) => counts[idx].1 += 1,
             Err(idx) => counts.insert(idx, (b, 1)),
         }
     }
-    counts
 }
 
 /// Fanout threshold at or below which [`locate_pair_linear`] (one cache-friendly scan) beats

@@ -53,23 +53,31 @@ impl<'a, P: VertexProgram + ?Sized> Context<'a, P> {
     /// Sends a message to vertex `to`, delivered at the start of the next superstep.
     pub fn send(&mut self, to: u32, message: P::Message) {
         let size = self.program.message_size(&message);
-        self.outbox.push(self.vertex, to, message, size);
+        self.outbox
+            .push(self.vertex, std::slice::from_ref(&to), message, size);
     }
 
-    /// Sends a copy of `message` to every out-neighbor of the current vertex. Each copy is a
-    /// `clone` of `message` and is charged [`crate::VertexProgram::message_size`] bytes, so a
-    /// message that shares its payload (an `Arc`) is sent without copying the payload.
+    /// Sends `message` to every out-neighbor of the current vertex. The payload is stored once
+    /// in the worker's outbox, never cloned, and each out-neighbor reads it in place; each
+    /// delivery is still charged [`crate::VertexProgram::message_size`] bytes.
     pub fn send_to_neighbors(&mut self, message: P::Message) {
         let size = self.program.message_size(&message);
-        for &n in self.topology.neighbors(self.vertex) {
-            self.outbox.push(self.vertex, n, message.clone(), size);
-        }
+        let neighbors = self.topology.neighbors(self.vertex);
+        self.outbox.push(self.vertex, neighbors, message, size);
     }
 
     /// Contributes a value to this superstep's aggregate: it is merged into the worker's
     /// accumulator in place with [`crate::VertexProgram::merge_aggregates`].
     pub fn aggregate(&mut self, contribution: P::Aggregate) {
         self.program.merge_aggregates(self.aggregate, contribution);
+    }
+
+    /// The worker's accumulator of this superstep's aggregate, to add a contribution to in
+    /// place instead of building one for [`Context::aggregate`]. Whatever a vertex adds must
+    /// be what merging its contribution would add, so the result does not depend on which
+    /// vertices share a worker.
+    pub fn accumulator(&mut self) -> &mut P::Aggregate {
+        self.aggregate
     }
 
     /// The scratch of the worker computing this vertex ([`crate::VertexProgram::Scratch`]).

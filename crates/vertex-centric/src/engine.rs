@@ -1,10 +1,11 @@
-//! The BSP engine: worker partitioning, superstep loop, message routing, master compute.
+//! The BSP engine: worker partitioning, the superstep loop, message delivery, master compute.
 
 use crate::context::Context;
 use crate::metrics::{ExecutionMetrics, SuperstepMetrics};
 use crate::program::{MasterOutcome, VertexProgram};
-use crate::routing::{group_inbox, route, Envelope, WorkerOutbox};
+use crate::routing::{GroupedInbox, WorkerOutbox};
 use crate::topology::Topology;
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Configuration of an engine run.
@@ -38,28 +39,34 @@ impl EngineConfig {
     }
 }
 
-/// Per-worker state: the values and halt flags of the vertices it owns, and its scratch.
-struct WorkerState<V, S> {
+/// Per-worker state: the values and halt flags of the vertices it owns, its scratch and its
+/// grouped inbox. Each worker's state sits on cache lines of its own, since the workers write
+/// to their scratch and inbox headers side by side.
+#[repr(align(128))]
+struct WorkerState<V, S, M> {
     /// Values of owned vertices, indexed by local index (`vertex / num_workers`).
     values: Vec<V>,
     /// Halt flags of owned vertices.
     halted: Vec<bool>,
     /// The program's worker-local scratch, kept across supersteps.
     scratch: S,
+    /// The messages delivered to the owned vertices, regrouped every superstep in place.
+    inbox: GroupedInbox<M>,
 }
 
-/// One simulated worker's unit of superstep work: its mutable state and pending inbox.
-type WorkerTask<'a, V, S, M> = (&'a mut WorkerState<V, S>, Vec<Envelope<M>>);
+/// One simulated worker's unit of superstep work: its state and the outbox it fills.
+type WorkerTask<'a, V, S, M> = (&'a mut WorkerState<V, S, M>, &'a mut WorkerOutbox<M>);
 
 /// Result produced by one worker for one superstep.
-struct WorkerStepResult<M, A> {
-    outbox: WorkerOutbox<M>,
+struct WorkerStepResult<A> {
     aggregate: A,
     active: usize,
+    unhalted: bool,
     combined: u64,
 }
 
-/// A vertex-centric BSP engine executing a [`VertexProgram`] over a [`Topology`].
+/// A vertex-centric BSP engine executing a [`VertexProgram`] over a [`Topology`], owned or
+/// borrowed (several engines can run over one topology, one after another).
 ///
 /// # Example
 ///
@@ -67,7 +74,9 @@ struct WorkerStepResult<M, A> {
 /// superstep 0 and counts incoming messages in superstep 1):
 ///
 /// ```
-/// use shp_vertex_centric::{Context, Engine, EngineConfig, MasterOutcome, TopologyBuilder, VertexProgram};
+/// use shp_vertex_centric::{
+///     Context, Engine, EngineConfig, MasterOutcome, Messages, TopologyBuilder, VertexProgram,
+/// };
 ///
 /// struct DegreeCount;
 /// impl VertexProgram for DegreeCount {
@@ -77,7 +86,7 @@ struct WorkerStepResult<M, A> {
 ///     type Global = ();
 ///     type Scratch = ();
 ///
-///     fn compute(&self, ctx: &mut Context<'_, Self>, _v: u32, value: &mut u32, msgs: &[u32]) {
+///     fn compute(&self, ctx: &mut Context<'_, Self>, _v: u32, value: &mut u32, msgs: Messages<'_, u32>) {
 ///         if ctx.superstep() == 0 {
 ///             ctx.send_to_neighbors(1);
 ///         } else {
@@ -99,40 +108,46 @@ struct WorkerStepResult<M, A> {
 /// engine.run();
 /// assert_eq!(engine.values(), vec![1, 2, 1]);
 /// ```
-pub struct Engine<P: VertexProgram> {
+pub struct Engine<'t, P: VertexProgram> {
     program: P,
     config: EngineConfig,
-    topology: Topology,
-    workers: Vec<WorkerState<P::Value, P::Scratch>>,
+    topology: Cow<'t, Topology>,
+    workers: Vec<WorkerState<P::Value, P::Scratch, P::Message>>,
+    /// The outboxes of the even and of the odd supersteps, one per worker each. Those filled
+    /// in superstep s stay read-only through superstep s + 1, whose workers read their
+    /// messages from them, and are cleared and refilled in superstep s + 2.
+    outboxes: [Vec<WorkerOutbox<P::Message>>; 2],
     global: P::Global,
     metrics: ExecutionMetrics,
-    /// Messages awaiting delivery, one inbox per worker.
-    inboxes: Vec<Vec<Envelope<P::Message>>>,
     superstep: usize,
 }
 
-impl<P: VertexProgram> Engine<P> {
-    /// Creates an engine over `topology` with one initial value per vertex.
+impl<'t, P: VertexProgram> Engine<'t, P> {
+    /// Creates an engine over `topology` (a [`Topology`] or a `&Topology`) with one initial
+    /// value per vertex.
     ///
     /// # Panics
     /// Panics if `initial_values.len() != topology.num_vertices()`.
     pub fn new(
         program: P,
-        topology: Topology,
+        topology: impl Into<Cow<'t, Topology>>,
         initial_values: Vec<P::Value>,
         config: EngineConfig,
     ) -> Self {
+        let topology = topology.into();
         assert_eq!(
             initial_values.len(),
             topology.num_vertices(),
             "one initial value per vertex required"
         );
         let w = config.num_workers;
-        let mut workers: Vec<WorkerState<P::Value, P::Scratch>> = (0..w)
+        let owned = initial_values.len().div_ceil(w);
+        let mut workers: Vec<WorkerState<P::Value, P::Scratch, P::Message>> = (0..w)
             .map(|_| WorkerState {
-                values: Vec::new(),
-                halted: Vec::new(),
+                values: Vec::with_capacity(owned),
+                halted: Vec::with_capacity(owned),
                 scratch: P::Scratch::default(),
+                inbox: GroupedInbox::default(),
             })
             .collect();
         for (v, value) in initial_values.into_iter().enumerate() {
@@ -140,16 +155,15 @@ impl<P: VertexProgram> Engine<P> {
             workers[worker].values.push(value);
             workers[worker].halted.push(false);
         }
-        let metrics = ExecutionMetrics::new(w);
-        let inboxes = (0..w).map(|_| Vec::new()).collect();
+        let outboxes = || (0..w).map(|worker| WorkerOutbox::new(worker, w)).collect();
         Engine {
             program,
             config,
             topology,
             workers,
+            outboxes: [outboxes(), outboxes()],
             global: P::Global::default(),
-            metrics,
-            inboxes,
+            metrics: ExecutionMetrics::new(w),
             superstep: 0,
         }
     }
@@ -202,60 +216,65 @@ impl<P: VertexProgram> Engine<P> {
         let start = Instant::now();
         let num_workers = self.config.num_workers;
         let program = &self.program;
-        let topology = &self.topology;
+        let topology: &Topology = &self.topology;
         let global = &self.global;
         let superstep = self.superstep;
+        let combiner = program.combiner();
+        let [even, odd] = &mut self.outboxes;
+        let (current, previous) = if superstep.is_multiple_of(2) {
+            (even, &*odd)
+        } else {
+            (odd, &*even)
+        };
 
-        // Take the pending inboxes; they will be replaced by the newly routed messages.
-        let inboxes = std::mem::replace(
-            &mut self.inboxes,
-            (0..num_workers).map(|_| Vec::new()).collect(),
-        );
-
-        // Each simulated worker processes its vertices on its own real thread (one scoped
+        // Each simulated worker groups the messages addressed to it in the previous
+        // superstep's outboxes and computes its vertices on its own real thread (one scoped
         // thread per worker, results collected in worker-index order so the merge below is
         // deterministic regardless of which worker finishes first).
         let work: Vec<WorkerTask<'_, P::Value, P::Scratch, P::Message>> =
-            self.workers.iter_mut().zip(inboxes).collect();
-        let results: Vec<WorkerStepResult<P::Message, P::Aggregate>> =
-            rayon::pool::map_vec(work, num_workers, |worker_idx, (state, inbox)| {
-                let local_count = state.values.len();
-                let inbox = group_inbox(inbox, num_workers, local_count, |a, b| {
-                    program.combine(a, b)
-                });
-                let mut outbox = WorkerOutbox::new(worker_idx, num_workers);
+            self.workers.iter_mut().zip(current.iter_mut()).collect();
+        let results: Vec<WorkerStepResult<P::Aggregate>> =
+            rayon::pool::map_vec(work, num_workers, |worker_idx, (state, outbox)| {
+                outbox.clear();
+                let WorkerState {
+                    values,
+                    halted,
+                    scratch,
+                    inbox,
+                } = state;
+                let delivered = inbox.group(previous, worker_idx, values.len(), combiner);
                 let mut aggregate = P::Aggregate::default();
                 let mut active = 0usize;
-                for local in 0..local_count {
-                    let incoming = inbox.messages(local);
-                    if state.halted[local] && incoming.is_empty() {
+                let mut unhalted = false;
+                for (local, (value, halted)) in values.iter_mut().zip(halted.iter_mut()).enumerate()
+                {
+                    let incoming = delivered.messages(local);
+                    if *halted && incoming.is_empty() {
                         continue;
                     }
                     active += 1;
-                    state.halted[local] = false;
                     let vertex = (local * num_workers + worker_idx) as u32;
                     let mut halt = false;
-                    {
-                        let mut ctx = Context {
-                            program,
-                            superstep,
-                            global,
-                            topology,
-                            vertex,
-                            outbox: &mut outbox,
-                            aggregate: &mut aggregate,
-                            scratch: &mut state.scratch,
-                            halt: &mut halt,
-                        };
-                        program.compute(&mut ctx, vertex, &mut state.values[local], incoming);
-                    }
-                    state.halted[local] = halt;
+                    let mut ctx = Context {
+                        program,
+                        superstep,
+                        global,
+                        topology,
+                        vertex,
+                        outbox: &mut *outbox,
+                        aggregate: &mut aggregate,
+                        scratch: &mut *scratch,
+                        halt: &mut halt,
+                    };
+                    program.compute(&mut ctx, vertex, value, incoming);
+                    *halted = halt;
+                    unhalted |= !halt;
                 }
                 WorkerStepResult {
-                    outbox,
                     aggregate,
                     active,
-                    combined: inbox.combined(),
+                    unhalted,
+                    combined: delivered.combined(),
                 }
             });
 
@@ -265,21 +284,19 @@ impl<P: VertexProgram> Engine<P> {
             ..Default::default()
         };
         let mut merged = P::Aggregate::default();
-        let mut outboxes = Vec::with_capacity(num_workers);
-        for result in results {
+        let mut any_unhalted = false;
+        for (result, outbox) in results.into_iter().zip(current.iter()) {
             step_metrics.active_vertices += result.active;
             step_metrics.max_worker_vertices = step_metrics.max_worker_vertices.max(result.active);
-            step_metrics.messages_sent += result.outbox.messages;
-            step_metrics.remote_messages += result.outbox.remote_messages;
-            step_metrics.bytes_sent += result.outbox.bytes;
-            step_metrics.remote_bytes += result.outbox.remote_bytes;
+            step_metrics.messages_sent += outbox.messages;
+            step_metrics.remote_messages += outbox.remote_messages;
+            step_metrics.bytes_sent += outbox.bytes;
+            step_metrics.remote_bytes += outbox.remote_bytes;
             step_metrics.combined_messages += result.combined;
+            any_unhalted |= result.unhalted;
             self.program.merge_aggregates(&mut merged, result.aggregate);
-            outboxes.push(result.outbox);
         }
-
-        // Route messages to their destination workers for the next superstep.
-        self.inboxes = route(outboxes);
+        let pending_messages = current.iter().any(|outbox| !outbox.is_empty());
 
         // Master compute.
         let master_halt = match self.program.master_compute(superstep, merged, &self.global) {
@@ -293,9 +310,6 @@ impl<P: VertexProgram> Engine<P> {
         step_metrics.duration = start.elapsed();
         self.metrics.supersteps.push(step_metrics);
         self.superstep += 1;
-
-        let pending_messages = self.inboxes.iter().any(|i| !i.is_empty());
-        let any_unhalted = self.workers.iter().any(|w| w.halted.iter().any(|&h| !h));
         (master_halt, pending_messages || any_unhalted)
     }
 
@@ -309,6 +323,8 @@ impl<P: VertexProgram> Engine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::Combiner;
+    use crate::routing::Messages;
     use crate::topology::TopologyBuilder;
 
     /// Connected components by label propagation: every vertex repeatedly adopts the minimum
@@ -322,7 +338,13 @@ mod tests {
         type Global = ();
         type Scratch = ();
 
-        fn compute(&self, ctx: &mut Context<'_, Self>, _v: u32, value: &mut u32, msgs: &[u32]) {
+        fn compute(
+            &self,
+            ctx: &mut Context<'_, Self>,
+            _v: u32,
+            value: &mut u32,
+            msgs: Messages<'_, u32>,
+        ) {
             let incoming_min = msgs.iter().copied().min();
             let mut changed = ctx.superstep() == 0;
             if let Some(m) = incoming_min {
@@ -338,8 +360,8 @@ mod tests {
             ctx.vote_to_halt();
         }
 
-        fn combine(&self, a: &u32, b: &u32) -> Option<u32> {
-            Some(*a.min(b))
+        fn combiner(&self) -> Option<Combiner<u32>> {
+            Some(|a, b| Some(*a.min(b)))
         }
 
         fn merge_aggregates(&self, into: &mut u64, other: u64) {
@@ -446,7 +468,13 @@ mod tests {
         type Global = usize;
         type Scratch = ();
 
-        fn compute(&self, ctx: &mut Context<'_, Self>, _v: u32, value: &mut usize, _msgs: &[()]) {
+        fn compute(
+            &self,
+            ctx: &mut Context<'_, Self>,
+            _v: u32,
+            value: &mut usize,
+            _msgs: Messages<'_, ()>,
+        ) {
             // Record the global value observed this superstep; never vote to halt.
             *value = *ctx.global();
             ctx.aggregate(1);
@@ -530,14 +558,14 @@ mod tests {
             ctx: &mut Context<'_, Self>,
             vertex: u32,
             value: &mut Vec<(u32, usize)>,
-            msgs: &[(u32, usize)],
+            msgs: Messages<'_, (u32, usize)>,
         ) {
             if ctx.superstep() == 0 {
                 for (i, &n) in ctx.neighbors().iter().enumerate() {
                     ctx.send(n, (vertex, i));
                 }
             } else {
-                value.extend_from_slice(msgs);
+                value.extend(msgs.iter().copied());
             }
         }
 
@@ -584,6 +612,93 @@ mod tests {
                 engine.run();
                 proptest::prop_assert_eq!(&engine.values(), &expected, "workers={}", workers);
             }
+        }
+    }
+
+    /// Clones of [`Counted`] messages made so far.
+    static CLONES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    /// A message that counts its own clones.
+    #[derive(Debug)]
+    struct Counted(u32);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Counted(self.0)
+        }
+    }
+
+    /// Every vertex sends its id to all its out-neighbors in superstep 0 and records the ids
+    /// it receives in superstep 1.
+    struct Broadcast;
+
+    impl VertexProgram for Broadcast {
+        type Value = Vec<u32>;
+        type Message = Counted;
+        type Aggregate = ();
+        type Global = ();
+        type Scratch = ();
+
+        fn compute(
+            &self,
+            ctx: &mut Context<'_, Self>,
+            vertex: u32,
+            value: &mut Vec<u32>,
+            msgs: Messages<'_, Counted>,
+        ) {
+            if ctx.superstep() == 0 {
+                ctx.send_to_neighbors(Counted(vertex));
+            } else {
+                value.extend(msgs.iter().map(|m| m.0));
+            }
+        }
+
+        fn merge_aggregates(&self, _into: &mut (), _other: ()) {}
+
+        fn master_compute(&self, superstep: usize, _agg: (), _g: &()) -> MasterOutcome<()> {
+            if superstep >= 1 {
+                MasterOutcome::Halt
+            } else {
+                MasterOutcome::Continue(())
+            }
+        }
+    }
+
+    #[test]
+    fn a_broadcast_is_stored_once_and_never_cloned() {
+        let num_vertices = 13u32;
+        let mut b = TopologyBuilder::new(num_vertices as usize);
+        for v in 0..num_vertices {
+            for u in (0..num_vertices).filter(|&u| u != v && (u * 7 + v * 3) % 5 < 2) {
+                b.add_edge(v, u);
+            }
+        }
+        let topology = b.build();
+        let expected: Vec<Vec<u32>> = (0..num_vertices)
+            .map(|v| {
+                (0..num_vertices)
+                    .filter(|&u| topology.neighbors(u).contains(&v))
+                    .collect()
+            })
+            .collect();
+        assert!(topology.num_edges() > 2 * num_vertices as usize);
+        for workers in [1, 2, 3, 5] {
+            CLONES.store(0, std::sync::atomic::Ordering::Relaxed);
+            let initial = vec![Vec::new(); num_vertices as usize];
+            let mut engine =
+                Engine::new(Broadcast, &topology, initial, EngineConfig::new(workers, 4));
+            engine.run();
+            assert_eq!(
+                CLONES.load(std::sync::atomic::Ordering::Relaxed),
+                0,
+                "workers={workers}"
+            );
+            assert_eq!(engine.values(), expected, "workers={workers}");
+            assert_eq!(
+                engine.metrics().supersteps[0].messages_sent,
+                topology.num_edges() as u64
+            );
         }
     }
 

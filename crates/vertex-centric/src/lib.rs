@@ -15,36 +15,47 @@
 //!   `MessageCombiner`, `Aggregator`, and `MasterCompute`.
 //! * [`Engine`] — distributes vertices over a configurable number of simulated workers
 //!   (vertex `v` lives on worker `v mod W`, as with Giraph's random vertex distribution),
-//!   runs each superstep's per-worker compute on one real scoped thread per worker (merging
-//!   worker results in worker-index order, so outcomes never depend on thread interleaving),
-//!   routes messages between workers, and applies combiners.
+//!   runs each superstep's per-worker message grouping and compute on one real scoped thread
+//!   per worker (merging worker results in worker-index order, so outcomes never depend on
+//!   thread interleaving), and applies combiners.
 //! * [`ExecutionMetrics`] — per-superstep accounting of messages, bytes, and local-vs-remote
 //!   traffic, so the communication-complexity claims of Section 3.3 of the paper can be
 //!   checked quantitatively even though no real network is involved.
 //!
 //! ## The message plane
 //!
-//! Per superstep the engine allocates a few buffers per worker, not one per vertex or per
-//! message:
+//! A run allocates a few buffers per worker and keeps them across supersteps; nothing is
+//! allocated per message, and nothing per vertex but what a program allocates itself:
 //!
-//! * **Sending.** [`Context::send_to_neighbors`] pushes one `clone` of the message per
-//!   out-neighbor into the worker's outbox, which keeps one buffer per destination worker. A
-//!   program whose message shares its payload behind an `Arc` (as SHP's neighbor data does)
-//!   sends it without copying the payload; the byte counters still charge
-//!   [`VertexProgram::message_size`] per copy.
-//! * **Routing.** Each message carries its sender in what would be padding, and at the barrier
-//!   [`routing::route`] merges the outbox buffers, each sorted by sender, by sender. So every
-//!   vertex receives its messages in **ascending sender order** at any worker count: a float
-//!   fold over them gives the same bits on one worker or many (Pregel leaves it unspecified).
-//! * **Grouping.** Each worker groups its inbox with [`routing::group_inbox`]: one counting
-//!   sort over the worker-local vertex index into a flat message array plus offsets, stable
-//!   within each vertex, with [`VertexProgram::combine`] folded over each vertex's run in
-//!   arrival order. A vertex's `compute` sees its run as a slice of that array.
-//! * **Aggregating.** Each worker keeps one accumulator per superstep.
-//!   [`Context::aggregate`] merges a contribution into it in place
-//!   ([`VertexProgram::merge_aggregates`] takes `&mut` accumulator and the contribution by
-//!   value), and the master merges the workers' accumulators the same way, in worker-index
-//!   order.
+//! * **Sending: each payload stored once.** [`Context::send`] and
+//!   [`Context::send_to_neighbors`] store the message once in the worker's outbox
+//!   ([`routing::WorkerOutbox`]) and queue a 12-byte envelope `(destination, sender, payload
+//!   index)` per destination in the lane of the destination's worker, so a broadcast to all
+//!   out-neighbors clones nothing (Pregel's send-to-all-edges, shipped once per worker as
+//!   Giraph can). The byte counters still charge [`VertexProgram::message_size`] per
+//!   destination.
+//! * **Delivery on the receiving worker, in ascending sender order.** The outboxes filled in
+//!   superstep s stay read-only through superstep s + 1. Each worker then reads the lanes
+//!   addressed to it, on its own thread, in merged sender order (each lane is sorted by
+//!   sender, since a worker computes its vertices in ascending order). So every vertex
+//!   receives its messages in **ascending sender order**, each sender's in send order, at any
+//!   worker count: a float fold over them gives the same bits on one worker or many (Pregel
+//!   leaves the order unspecified).
+//! * **Grouping.** That walk is the second pass of one counting sort over the receiving
+//!   worker's local vertex index ([`routing::GroupedInbox::group`]): it writes a `(store,
+//!   index)` reference to each payload straight into its final slot of a flat array, and a
+//!   vertex's `compute` reads its run through a [`Messages`] view, each message in place in
+//!   the outbox that sent it. A program with a combiner ([`VertexProgram::combiner`], asked
+//!   once per superstep) has it folded over each vertex's run in that order; a program without
+//!   one pays nothing per message for it.
+//! * **Aggregating in place.** Each worker keeps one accumulator per superstep. A vertex adds
+//!   to it directly ([`Context::accumulator`]) or merges a contribution into it
+//!   ([`Context::aggregate`], through [`VertexProgram::merge_aggregates`], which takes `&mut`
+//!   accumulator and the contribution by value), and the master merges the workers'
+//!   accumulators the same way, in worker-index order.
+//!
+//! Each worker's outboxes, lanes, inbox and scratch sit on cache lines of their own, so worker
+//! threads never write to a shared line.
 //!
 //! The engine is deliberately independent of the partitioner: the unit tests run classical
 //! vertex-centric algorithms (connected components, degree counting) on it, and
@@ -64,5 +75,6 @@ pub mod topology;
 pub use context::Context;
 pub use engine::{Engine, EngineConfig};
 pub use metrics::{ExecutionMetrics, SuperstepMetrics};
-pub use program::{MasterOutcome, VertexProgram};
+pub use program::{Combiner, MasterOutcome, VertexProgram};
+pub use routing::Messages;
 pub use topology::{Topology, TopologyBuilder};

@@ -26,7 +26,8 @@ pub struct SuperstepMetrics {
     pub remote_bytes: u64,
     /// Messages eliminated by the combiner before delivery.
     pub combined_messages: u64,
-    /// Wall-clock duration of the superstep (compute + routing).
+    /// Wall-clock duration of the superstep: grouping the delivered messages and compute on
+    /// the workers, then merging their results and the master compute.
     #[serde(with = "duration_micros")]
     pub duration: Duration,
     /// Number of vertices processed by the busiest worker (load-balance indicator).

@@ -1,6 +1,11 @@
 //! The [`VertexProgram`] trait: the user-defined part of a vertex-centric computation.
 
 use crate::context::Context;
+use crate::routing::Messages;
+
+/// A message combiner (Giraph's `MessageCombiner`): merges two messages addressed to the same
+/// vertex into one, or returns `None` to deliver both.
+pub type Combiner<M> = fn(&M, &M) -> Option<M>;
 
 /// Decision returned by [`VertexProgram::master_compute`] after every superstep.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,19 +43,21 @@ pub trait VertexProgram: Sync {
     /// compute call leaves in it must not change a later call's result.
     type Scratch: Default + Send;
 
-    /// Per-vertex compute function executed once per superstep for every active vertex.
+    /// Per-vertex compute function executed once per superstep for every active vertex, with
+    /// the messages sent to it in the previous superstep in ascending sender order.
     fn compute(
         &self,
         ctx: &mut Context<'_, Self>,
         vertex: u32,
         value: &mut Self::Value,
-        messages: &[Self::Message],
+        messages: Messages<'_, Self::Message>,
     );
 
-    /// Optional message combiner: when two messages target the same destination vertex they may
-    /// be merged into one, reducing traffic (Giraph's `MessageCombiner`). Returning `None`
-    /// (the default) disables combining.
-    fn combine(&self, _a: &Self::Message, _b: &Self::Message) -> Option<Self::Message> {
+    /// The program's message combiner, if it has one. The engine asks once per superstep and
+    /// folds the combiner over each vertex's messages in delivery order, merging a message
+    /// into the vertex's last kept one whenever the combiner returns `Some`. `None` (the
+    /// default) delivers every message as sent, at no cost per message.
+    fn combiner(&self) -> Option<Combiner<Self::Message>> {
         None
     }
 

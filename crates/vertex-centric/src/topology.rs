@@ -4,6 +4,8 @@
 //! caller adds both directions (data → query and query → data) so that messages can flow both
 //! ways, matching how Giraph stores the bipartite graph as undirected adjacency.
 
+use std::borrow::Cow;
+
 /// Immutable CSR adjacency used by the [`crate::Engine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
@@ -39,6 +41,51 @@ impl Topology {
     #[inline]
     pub fn degree(&self, v: u32) -> usize {
         self.neighbors(v).len()
+    }
+
+    /// Builds the CSR of the directed `edges` `(from, to)`, in two passes over them and without
+    /// a buffer per vertex: each vertex lists its out-neighbors in edge order, as
+    /// [`TopologyBuilder::add_edge`] would.
+    ///
+    /// # Panics
+    /// Panics if either endpoint of an edge is out of range.
+    pub fn from_edges<I>(num_vertices: usize, edges: I) -> Topology
+    where
+        I: IntoIterator<Item = (u32, u32)>,
+        I::IntoIter: Clone,
+    {
+        let edges = edges.into_iter();
+        let mut offsets = vec![0u64; num_vertices + 1];
+        for (from, to) in edges.clone() {
+            assert!(
+                (from as usize) < num_vertices && (to as usize) < num_vertices,
+                "edge ({from}, {to}) out of range"
+            );
+            offsets[from as usize + 1] += 1;
+        }
+        for v in 1..offsets.len() {
+            offsets[v] += offsets[v - 1];
+        }
+        let mut cursor = offsets[..num_vertices].to_vec();
+        let mut neighbors = vec![0u32; offsets[num_vertices] as usize];
+        for (from, to) in edges {
+            let slot = &mut cursor[from as usize];
+            neighbors[*slot as usize] = to;
+            *slot += 1;
+        }
+        Topology { offsets, neighbors }
+    }
+}
+
+impl From<Topology> for Cow<'_, Topology> {
+    fn from(topology: Topology) -> Self {
+        Cow::Owned(topology)
+    }
+}
+
+impl<'t> From<&'t Topology> for Cow<'t, Topology> {
+    fn from(topology: &'t Topology) -> Self {
+        Cow::Borrowed(topology)
     }
 }
 
@@ -133,6 +180,23 @@ mod tests {
     fn out_of_range_edge_panics() {
         let mut b = TopologyBuilder::new(2);
         b.add_edge(0, 5);
+    }
+
+    #[test]
+    fn from_edges_matches_the_builder() {
+        let edges = [(0u32, 3u32), (2, 1), (0, 1), (3, 0), (0, 3), (1, 2)];
+        let mut b = TopologyBuilder::new(5);
+        for &(from, to) in &edges {
+            b.add_edge(from, to);
+        }
+        assert_eq!(Topology::from_edges(5, edges), b.build());
+        assert_eq!(Topology::from_edges(0, []), TopologyBuilder::new(0).build());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_edges_rejects_an_out_of_range_edge() {
+        Topology::from_edges(2, [(0, 2)]);
     }
 
     #[test]
