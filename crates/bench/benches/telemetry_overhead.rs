@@ -4,7 +4,9 @@
 //! On a fixed deterministic observation stream this measures, in ns per record:
 //!
 //! * the raw `shp-telemetry` primitives — sharded [`Counter`] increment, log-linear
-//!   [`Histogram`] record, and bounded [`TopKSketch`] record;
+//!   [`Histogram`] record, and bounded [`TopKSketch`] record — plus the top-K sketch and the
+//!   [`SpanStats`] fold with four threads recording into one value (each thread writes its
+//!   own shard);
 //! * [`ServingMetrics::record`] (the lock-free rebuild) vs
 //!   [`ReferenceServingMetrics::record`] (the `Mutex<Vec>` oracle of
 //!   `shp_bench::oracles::metrics`, the `legacy` rows), single-threaded and with four threads
@@ -25,7 +27,7 @@ use shp_bench::bench_json;
 use shp_bench::oracles::metrics::ReferenceServingMetrics;
 use shp_serving::{CacheStats, ServingMetrics, ServingReport};
 use shp_telemetry::histogram::QUANTIZATION_ERROR;
-use shp_telemetry::{Counter, Histogram, TopKSketch};
+use shp_telemetry::{Counter, Histogram, SpanStats, TopKSketch};
 
 #[global_allocator]
 static ALLOC: support::CountingAllocator = support::CountingAllocator;
@@ -218,6 +220,35 @@ fn main() {
             }
         },
     );
+    let sketch_4t = support::measure(
+        rounds,
+        || sketch.reset(),
+        |()| {
+            record_contended(
+                &|slice| {
+                    for o in slice {
+                        sketch.record(o.key);
+                    }
+                },
+                &stream,
+            )
+        },
+    );
+    let span_stats = SpanStats::default();
+    let span_4t = support::measure(
+        rounds,
+        || span_stats.reset(),
+        |()| {
+            record_contended(
+                &|slice| {
+                    for o in slice {
+                        span_stats.record_ns((o.latency * 1e3) as u64);
+                    }
+                },
+                &stream,
+            )
+        },
+    );
     let serving_1t = support::measure(
         rounds,
         || metrics.reset(),
@@ -239,10 +270,12 @@ fn main() {
     let speedup_4t = legacy_4t.secs_per_op / serving_4t.secs_per_op;
     println!(
         "telemetry_overhead/primitives: counter {:.1} ns, histogram {:.1} ns, sketch {:.1} ns \
-         per record",
+         per record; {CONTENDING_THREADS} threads: sketch {:.1} ns, span {:.1} ns",
         counter_inc.ns_per_item(n),
         histogram_record.ns_per_item(n),
         sketch_record.ns_per_item(n),
+        sketch_4t.ns_per_item(n),
+        span_4t.ns_per_item(n),
     );
     println!(
         "telemetry_overhead/serving: lock-free {:.1} ns vs legacy {:.1} ns per record \
@@ -274,6 +307,14 @@ fn main() {
         (
             "sketch_record".to_string(),
             bench_json::render_metrics(&sketch_record.metrics(n)),
+        ),
+        (
+            "sketch_record_t4".to_string(),
+            bench_json::render_metrics(&sketch_4t.metrics(n)),
+        ),
+        (
+            "span_record_t4".to_string(),
+            bench_json::render_metrics(&span_4t.metrics(n)),
         ),
         (
             "serving_record_t1".to_string(),

@@ -42,7 +42,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 /// within one cache line of payload.
 pub const MAX_SAMPLE_KEYS: usize = 16;
 
-/// Slots in the hot-key sketch the collector maintains alongside the reservoir.
+/// Slots in each per-thread table of the hot-key sketch the collector maintains alongside the
+/// reservoir.
 const HOT_KEY_SLOTS: usize = 1024;
 
 /// One seqlock-protected reservoir slot holding a sampled key-set.

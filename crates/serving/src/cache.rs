@@ -3,24 +3,30 @@
 //! Social multiget workloads are heavily skewed: a small set of hot keys (popular users)
 //! appears in a large fraction of queries. Caching their records in the serving tier cuts both
 //! shard load and effective fanout — a query whose remaining misses all land on one shard
-//! contacts one shard instead of several. The cache is segmented (16 lock stripes) so
-//! concurrent clients rarely contend, and eviction is per-segment FIFO: simple, O(1), and good
-//! enough for a skewed key distribution where hot keys are re-inserted immediately after any
+//! contacts one shard instead of several. The cache is segmented (16 lock stripes, each on
+//! cache lines of its own) and counts hits and misses in per-thread [`Counter`] shards, so a
+//! lookup writes only the line of the segment it locks: concurrent clients contend only when
+//! they lock the same segment. Eviction is per-segment FIFO: simple, O(1), and good enough
+//! for a skewed key distribution where hot keys are re-inserted immediately after any
 //! eviction.
 //!
 //! Cached values are placement-independent (a repartition moves records between shards but
 //! never changes them), so entries survive live partition swaps untouched.
 
+use crate::store::RecordMap;
 use shp_hypergraph::DataId;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use shp_telemetry::Counter;
+use std::collections::VecDeque;
 use std::sync::Mutex;
 
 const NUM_SEGMENTS: usize = 16;
 
+/// One FIFO segment. Aligned to a cache line, so each segment's lock and map sit on lines
+/// of their own.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 struct Segment {
-    map: HashMap<DataId, u64>,
+    map: RecordMap,
     order: VecDeque<DataId>,
 }
 
@@ -29,8 +35,8 @@ struct Segment {
 pub struct HotKeyCache {
     segments: Vec<Mutex<Segment>>,
     capacity_per_segment: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    hits: Counter,
+    misses: Counter,
 }
 
 /// Hit/miss counters of a [`HotKeyCache`].
@@ -63,8 +69,8 @@ impl HotKeyCache {
                 .map(|_| Mutex::new(Segment::default()))
                 .collect(),
             capacity_per_segment: capacity.div_ceil(NUM_SEGMENTS),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            hits: Counter::new(),
+            misses: Counter::new(),
         }
     }
 
@@ -80,11 +86,11 @@ impl HotKeyCache {
         let segment = self.segment(key).lock().expect("cache segment poisoned");
         match segment.map.get(&key).copied() {
             Some(value) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.hits.inc();
                 Some(value)
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.misses.inc();
                 None
             }
         }
@@ -122,8 +128,8 @@ impl HotKeyCache {
     /// Current hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.hits.value(),
+            misses: self.misses.value(),
         }
     }
 }

@@ -21,7 +21,8 @@ use shp_sharding_sim::LatencyModel;
 use shp_telemetry::{HistogramSnapshot, Snapshot, Span, Timer, TopKSketch};
 use std::sync::Arc;
 
-/// Slots in the per-engine hot-key access sketch (bounds its memory at 32 KiB).
+/// Slots in each per-thread table of the engine's hot-key access sketch (four tables of 8-byte
+/// slots bound its memory at 128 KiB).
 const HOT_KEY_SLOTS: usize = 4096;
 
 /// How many of the hottest keys [`ServingEngine::telemetry_snapshot`] exports.
@@ -409,8 +410,10 @@ impl ServingEngine {
     }
 
     /// Replays an open-loop arrival schedule against the engine with `clients` concurrent
-    /// client threads, then returns the aggregated report. Metrics are reset first, so the
-    /// report covers exactly this run.
+    /// client threads, then returns the aggregated report. The per-query metrics are reset
+    /// first, so queries, fanout, latency, load and epochs cover exactly this run; the cache
+    /// counters are cumulative since boot, because [`ServingEngine::reset_metrics`] keeps
+    /// them (and the cache contents).
     ///
     /// # Errors
     /// Propagates the first serving error any client encounters.

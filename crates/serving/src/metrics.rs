@@ -88,7 +88,10 @@ impl ServingMetrics {
     /// concentrated on low-numbered shards still registers as skew), its simulated latency,
     /// and the placement epoch it was served under.
     ///
-    /// Lock-free: a bounded number of relaxed atomic operations, no allocation.
+    /// Lock-free: a bounded number of relaxed atomic operations, no allocation. Counts land
+    /// on the calling thread's shards, and the shard bound (folded over `shards` first) and
+    /// the epoch range are written only when this query moves them, so concurrent clients
+    /// write no shared line in the steady state.
     pub fn record(
         &self,
         fanout: u32,
@@ -99,13 +102,20 @@ impl ServingMetrics {
     ) {
         self.fanout.inc(fanout as usize);
         self.latency.record(latency);
-        self.max_shards.fetch_max(num_shards, Ordering::Relaxed);
+        let mut bound = num_shards;
         for shard in shards {
             self.shard_requests.inc(shard as usize);
-            self.max_shards.fetch_max(shard + 1, Ordering::Relaxed);
+            bound = bound.max(shard + 1);
         }
-        self.min_epoch.fetch_min(epoch, Ordering::Relaxed);
-        self.max_epoch.fetch_max(epoch, Ordering::Relaxed);
+        if bound > self.max_shards.load(Ordering::Relaxed) {
+            self.max_shards.fetch_max(bound, Ordering::Relaxed);
+        }
+        if epoch < self.min_epoch.load(Ordering::Relaxed) {
+            self.min_epoch.fetch_min(epoch, Ordering::Relaxed);
+        }
+        if epoch > self.max_epoch.load(Ordering::Relaxed) {
+            self.max_epoch.fetch_max(epoch, Ordering::Relaxed);
+        }
     }
 
     /// Records the fault-tolerance outcome of one served multiget: how many requested keys

@@ -27,11 +27,14 @@ use rand_pcg::Pcg64;
 use shp_faults::{FaultInjector, RetryPolicy};
 use shp_hypergraph::DataId;
 use shp_sharding_sim::LatencyModel;
+use shp_telemetry::Counter;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// SplitMix64 finalizer: the bijective mixer behind record values and service-time seeds.
+/// SplitMix64 finalizer: the bijective mixer behind record values, service-time seeds and
+/// the record maps' hash.
 #[inline]
 fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -39,6 +42,34 @@ fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
+
+/// The record maps' hasher: one [`mix64`] per key instead of SipHash. A fixed hash is safe
+/// here because a map only ever holds keys of the engine's dense key universe (keys outside
+/// it are rejected before any lookup), at most a shard's records or a cache segment's
+/// capacity. It must be the full finalizer: a bare multiplicative hash fixes the low bits of
+/// every key of one residue class, and a `key mod n` placement puts all of a shard's keys in
+/// one class.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct RecordHasher(u64);
+
+impl Hasher for RecordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = mix64(self.0 ^ u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = mix64(self.0 ^ u64::from(n));
+    }
+}
+
+/// A `key → record` map hashed with [`RecordHasher`] (shard contents and cache segments).
+pub(crate) type RecordMap = HashMap<DataId, u64, BuildHasherDefault<RecordHasher>>;
 
 /// The synthetic record stored for `key`: a SplitMix64 hash, so that reads can be verified
 /// end-to-end (a wrong or missing value indicates a torn swap or routing bug).
@@ -49,23 +80,26 @@ pub fn value_of(key: DataId) -> u64 {
 /// One in-memory KV shard.
 ///
 /// Records sit behind an `Arc` so that [`ShardSet::apply_delta`] can hand an untouched
-/// shard's contents to the next generation without copying a single record.
+/// shard's contents to the next generation without copying a single record. Each shard sits
+/// on cache lines of its own, so clients served by different shards never write one line.
 #[derive(Debug)]
+#[repr(align(64))]
 pub struct Shard {
     /// Immutable records held by this shard (shared with other generations when unchanged).
-    data: Arc<HashMap<DataId, u64>>,
-    /// Number of batch requests served; also the index of the next service-time draw.
+    data: Arc<RecordMap>,
+    /// Number of batch requests served; also the index of the next service-time draw, so it
+    /// stays one shared counter.
     requests: AtomicU64,
-    /// Number of keys served.
-    keys_served: AtomicU64,
+    /// Number of keys served (per-thread shards).
+    keys_served: Counter,
 }
 
 impl Shard {
-    fn new(data: Arc<HashMap<DataId, u64>>) -> Self {
+    fn new(data: Arc<RecordMap>) -> Self {
         Shard {
             data,
             requests: AtomicU64::new(0),
-            keys_served: AtomicU64::new(0),
+            keys_served: Counter::new(),
         }
     }
 
@@ -86,7 +120,7 @@ impl Shard {
 
     /// Number of keys this shard has served (batch sizes summed).
     pub fn keys_served(&self) -> u64 {
-        self.keys_served.load(Ordering::Relaxed)
+        self.keys_served.value()
     }
 
     /// Looks up one key.
@@ -177,7 +211,7 @@ impl ShardSet {
     ) -> Self {
         let n = snapshot.num_shards();
         let replication = replication.clamp(1, n.max(1));
-        let mut data = vec![HashMap::new(); n as usize];
+        let mut data = vec![RecordMap::default(); n as usize];
         for (primary, keys) in snapshot.keys_by_shard().iter().enumerate() {
             for shard in Self::replica_chain(primary as u32, n, replication) {
                 data[shard as usize].extend(keys.iter().map(|&k| (k, value_of(k))));
@@ -406,9 +440,7 @@ impl ShardSet {
             out.push((key, value));
         }
         let n = shard.requests.fetch_add(1, Ordering::Relaxed);
-        shard
-            .keys_served
-            .fetch_add(keys.len() as u64, Ordering::Relaxed);
+        shard.keys_served.add(keys.len() as u64);
         let draw = [self.epoch, u64::from(shard_id), n]
             .into_iter()
             .fold(mix64(self.seed), |h, x| mix64(h ^ x));
@@ -716,6 +748,27 @@ mod tests {
         }
         assert_eq!(set.shard_requests(), vec![0, 2]);
         assert_eq!(set.shard_keys_served(), vec![0, 0]);
+    }
+
+    #[test]
+    fn record_hash_spreads_strided_keys_over_the_low_bits() {
+        // A `key mod 64` placement gives shard s the keys s + 64·i. A bare multiplicative
+        // hash fixes the low 6 bits of all of them (64 distinct low-12-bit values out of 4096
+        // keys); the full finalizer spreads them like a random hash (about 2,589).
+        use std::hash::BuildHasher;
+        let hasher = BuildHasherDefault::<RecordHasher>::default();
+        for s in [0u32, 1, 17, 63] {
+            let mut low_bits: Vec<u64> = (0..4096u32)
+                .map(|i| hasher.hash_one(s + 64 * i) & 0xFFF)
+                .collect();
+            low_bits.sort_unstable();
+            low_bits.dedup();
+            assert!(
+                low_bits.len() >= 2_400,
+                "shard {s}: {} distinct low-12-bit hashes",
+                low_bits.len()
+            );
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! bit-identical regardless of how recording threads interleaved — unlike a floating-point
 //! accumulator, whose low bits would depend on arrival order.
 
-use crate::{shard_index, HISTOGRAM_SHARDS};
+use crate::{shard_index, Pad, HISTOGRAM_SHARDS};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sub-bucket resolution: each octave splits into `2^SUB_BITS` linear buckets.
@@ -65,7 +65,9 @@ impl HistogramShard {
 
 /// A sharded, lock-free, constant-memory log-linear histogram (see the module docs).
 pub struct Histogram {
-    shards: Box<[HistogramShard]>,
+    /// Per-thread shards, padded so that threads on neighbouring shards never write one line
+    /// (each shard's buckets are an allocation of their own).
+    shards: Box<[Pad<HistogramShard>]>,
     /// Bit pattern of the smallest recorded value (`f64::INFINITY` when empty).
     min_bits: AtomicU64,
     /// Bit pattern of the largest recorded value (`0.0` when empty).
@@ -128,18 +130,20 @@ impl Histogram {
     pub fn new() -> Self {
         Histogram {
             shards: (0..HISTOGRAM_SHARDS)
-                .map(|_| HistogramShard::new())
+                .map(|_| Pad(HistogramShard::new()))
                 .collect(),
             min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             max_bits: AtomicU64::new(0f64.to_bits()),
         }
     }
 
-    /// Records one observation. Lock-free: two relaxed `fetch_add`s on the calling thread's
-    /// shard plus two relaxed `fetch_min`/`fetch_max` (no allocation, no CAS loop).
+    /// Records one observation. Lock-free and allocation-free: two relaxed `fetch_add`s on
+    /// the calling thread's shard, and a relaxed `fetch_min`/`fetch_max` on the shared
+    /// extremes only when the value moves them (those compile to CAS loops on x86-64, so the
+    /// common case reads the extremes and writes nothing shared).
     #[inline]
     pub fn record(&self, value: f64) {
-        let shard = &self.shards[shard_index(HISTOGRAM_SHARDS)];
+        let shard = &self.shards[shard_index(HISTOGRAM_SHARDS)].0;
         shard.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         let clamped = if value.is_nan() {
             0.0
@@ -152,15 +156,19 @@ impl Histogram {
         // For non-negative floats the IEEE-754 bit pattern orders like the value, so the
         // min/max of the bit patterns are the bit patterns of the min/max.
         let bits = clamped.to_bits();
-        self.min_bits.fetch_min(bits, Ordering::Relaxed);
-        self.max_bits.fetch_max(bits, Ordering::Relaxed);
+        if bits < self.min_bits.load(Ordering::Relaxed) {
+            self.min_bits.fetch_min(bits, Ordering::Relaxed);
+        }
+        if bits > self.max_bits.load(Ordering::Relaxed) {
+            self.max_bits.fetch_max(bits, Ordering::Relaxed);
+        }
     }
 
     /// Total number of recorded observations (scrape-time merge).
     pub fn count(&self) -> u64 {
         self.shards
             .iter()
-            .flat_map(|s| s.buckets.iter())
+            .flat_map(|s| s.0.buckets.iter())
             .map(|b| b.load(Ordering::Relaxed))
             .sum()
     }
@@ -170,7 +178,7 @@ impl Histogram {
         let fp: u64 = self
             .shards
             .iter()
-            .map(|s| s.sum_fp.load(Ordering::Relaxed))
+            .map(|s| s.0.sum_fp.load(Ordering::Relaxed))
             .sum();
         fp as f64 / SUM_SCALE
     }
@@ -201,7 +209,7 @@ impl Histogram {
     /// The merged dense bucket counts (scrape-time only).
     fn merged(&self) -> Vec<u64> {
         let mut out = vec![0u64; BUCKETS];
-        for shard in self.shards.iter() {
+        for Pad(shard) in self.shards.iter() {
             for (bucket, total) in shard.buckets.iter().zip(out.iter_mut()) {
                 *total += bucket.load(Ordering::Relaxed);
             }
@@ -264,7 +272,7 @@ impl Histogram {
 
     /// Zeroes every bucket, the sums, and the min/max.
     pub fn reset(&self) {
-        for shard in self.shards.iter() {
+        for Pad(shard) in self.shards.iter() {
             for bucket in shard.buckets.iter() {
                 bucket.store(0, Ordering::Relaxed);
             }

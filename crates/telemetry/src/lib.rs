@@ -16,11 +16,12 @@
 //! * [`Histogram`] — a fixed-bucket **log-linear** histogram over non-negative `f64` values
 //!   (latencies). See the quantization-error contract below.
 //! * [`Span`] / [`Timer`] — hierarchical phase spans (`Span::enter("refinement")` →
-//!   `span.child("iteration")`) aggregating wall time per path, and pre-resolved [`Timer`]
-//!   handles for hot paths that cannot afford the per-enter path lookup.
+//!   `span.child("iteration")`) aggregating wall time per path into per-thread
+//!   [`SpanStats`] shards, and pre-resolved [`Timer`] handles for hot paths that cannot
+//!   afford the per-enter path lookup.
 //! * [`TopKSketch`] — a bounded space-saving-style per-key frequency sketch (the per-key
-//!   access trace a repartition controller consumes), lock-free and with deterministic
-//!   tie-breaking at extraction.
+//!   access trace a repartition controller consumes), lock-free, with one table per
+//!   recording thread merged on read and deterministic tie-breaking at extraction.
 //! * [`Registry`] / [`Snapshot`] — named-metric registration and a mergeable point-in-time
 //!   snapshot, exported as Prometheus text exposition ([`Snapshot::to_prometheus`]) or a JSON
 //!   document ([`Snapshot::to_json`] / [`Snapshot::from_json`]).
@@ -30,13 +31,16 @@
 //! Every *record* operation — `Counter::inc`, `Gauge::set`, `IndexedCounter::inc`,
 //! `Histogram::record`, `TopKSketch::record`, and the span/timer close that folds a duration
 //! into its [`SpanStats`] — performs only atomic loads, stores, `fetch_*`, and bounded CAS
-//! retries on pre-allocated memory: no `Mutex`, no `RwLock`, no allocation. The only locking
-//! in the crate sits on the *registration* path ([`Registry::counter`] and friends intern
-//! names under a lock the first time they are seen) and on the *scrape* path
-//! ([`Registry::snapshot`]); both are off the hot path by construction. [`Span::enter`] reads
-//! the intern table through a shared read lock once per span — fine at phase granularity; the
-//! per-multiget serving paths use cached [`Timer`] handles instead, which record without
-//! touching any map.
+//! retries on pre-allocated memory: no `Mutex`, no `RwLock`, no allocation. Counters,
+//! histograms, span stats and top-K tables write per-thread shards that sit on cache lines of
+//! their own and are merged only on read, and extremes (a histogram's min/max, a span
+//! shard's max) are written only when a value moves them, so concurrent recorders do not
+//! write each other's lines. The only locking in the crate sits on the *registration* path
+//! ([`Registry::counter`] and friends intern names under a lock the first time they are seen)
+//! and on the *scrape* path ([`Registry::snapshot`]); both are off the hot path by
+//! construction. [`Span::enter`] reads the intern table through a shared read lock once per
+//! span — fine at phase granularity; the per-multiget serving paths use cached [`Timer`]
+//! handles instead, which record without touching any map.
 //!
 //! ## Quantization error
 //!

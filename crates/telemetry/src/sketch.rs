@@ -6,10 +6,13 @@
 //!
 //! ## Design
 //!
-//! A fixed power-of-two table of 64-bit slots, each packing `(key: u32) << 32 | count: u32`
-//! (the empty sentinel is `u64::MAX`, which no real entry can equal because counts saturate at
-//! `u32::MAX - 1`). Recording a key probes a small deterministic window of slots derived from
-//! a fixed hash of the key:
+//! One fixed power-of-two table of 64-bit slots per recording thread (the
+//! [`HISTOGRAM_SHARDS`] per-thread shards a [`Histogram`](crate::Histogram) uses, each table
+//! on cache lines of its own and each at the full capacity), so concurrent writers never
+//! touch the same slot. A slot packs `(key: u32) << 32 | count: u32` (the empty
+//! sentinel is `u64::MAX`, which no real entry can equal because counts saturate at
+//! `u32::MAX - 1`). Recording a key probes a small deterministic window of slots of the
+//! calling thread's table, derived from a fixed hash of the key:
 //!
 //! 1. a slot already holding the key is bumped with one `fetch_add(1)`;
 //! 2. otherwise an empty slot is claimed with one CAS;
@@ -18,36 +21,66 @@
 //!    replaced by the new key via CAS.
 //!
 //! Every step is a bounded number of atomic operations on pre-allocated slots: no locks, no
-//! allocation, no unbounded retries (a failed CAS falls through rather than looping). Under
-//! concurrency the counts are approximate in the usual space-saving sense; with a single
-//! writer the sketch is fully deterministic for a given key sequence.
+//! allocation, no unbounded retries (a failed CAS falls through rather than looping). Counts
+//! are approximate in the usual space-saving sense once a table evicts; a table with a single
+//! writer is fully deterministic for a given key sequence, and a sketch with one recording
+//! thread reads exactly as a single table would.
 //!
 //! ## Deterministic extraction
 //!
-//! [`TopKSketch::top`] sorts surviving entries by `(count descending, key ascending)` — ties
-//! broken by the smaller key id — so two identical traces always extract the identical top-K
-//! list, which the conformance tests rely on.
+//! [`TopKSketch::top`] sums each key's counts across the per-thread tables, then sorts by
+//! `(count descending, key ascending)` — ties broken by the smaller key id — so two identical
+//! traces always extract the identical top-K list, which the conformance tests rely on.
 
+use crate::{shard_index, Pad, HISTOGRAM_SHARDS};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of slots probed per record (the set-associativity of the table).
 const PROBE_WIDTH: usize = 4;
+
+/// Slots per 64-byte cache line.
+const LINE_SLOTS: usize = 8;
 
 const EMPTY: u64 = u64::MAX;
 const COUNT_MASK: u64 = 0xFFFF_FFFF;
 /// Counts saturate one below the mask so an occupied slot can never equal [`EMPTY`].
 const COUNT_SATURATE: u64 = COUNT_MASK - 1;
 
+/// One recording thread's slot table, laid out in whole cache lines.
+struct Table {
+    lines: Box<[Pad<[AtomicU64; LINE_SLOTS]>]>,
+}
+
+impl Table {
+    fn new(capacity: usize) -> Self {
+        Table {
+            lines: (0..capacity / LINE_SLOTS)
+                .map(|_| Pad(std::array::from_fn(|_| AtomicU64::new(EMPTY))))
+                .collect(),
+        }
+    }
+
+    #[inline]
+    fn slot(&self, index: usize) -> &AtomicU64 {
+        &self.lines[index / LINE_SLOTS].0[index % LINE_SLOTS]
+    }
+
+    fn slots(&self) -> impl Iterator<Item = &AtomicU64> {
+        self.lines.iter().flat_map(|line| line.0.iter())
+    }
+}
+
 /// A bounded lock-free top-K frequency sketch over `u32` keys (see the module docs).
 pub struct TopKSketch {
-    slots: Box<[AtomicU64]>,
+    tables: Box<[Table]>,
     mask: usize,
 }
 
 impl std::fmt::Debug for TopKSketch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TopKSketch")
-            .field("capacity", &self.slots.len())
+            .field("capacity", &self.capacity())
+            .field("tables", &self.tables.len())
             .field("occupied", &self.occupied())
             .finish()
     }
@@ -63,23 +96,28 @@ fn mix(key: u32) -> u64 {
 }
 
 impl TopKSketch {
-    /// Creates a sketch with `capacity` slots, rounded up to a power of two (minimum 16).
+    /// Creates a sketch whose per-thread tables hold `capacity` slots each, rounded up to a
+    /// power of two (minimum 16).
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(16).next_power_of_two();
         TopKSketch {
-            slots: (0..capacity).map(|_| AtomicU64::new(EMPTY)).collect(),
+            tables: (0..HISTOGRAM_SHARDS)
+                .map(|_| Table::new(capacity))
+                .collect(),
             mask: capacity - 1,
         }
     }
 
-    /// Number of slots (fixed at construction).
+    /// Number of slots in each per-thread table (fixed at construction).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.mask + 1
     }
 
-    /// Records one access of `key`. Lock-free with a bounded number of atomic operations.
+    /// Records one access of `key` in the calling thread's table. Lock-free with a bounded
+    /// number of atomic operations.
     #[inline]
     pub fn record(&self, key: u32) {
+        let table = &self.tables[shard_index(HISTOGRAM_SHARDS)];
         let base = mix(key) as usize;
         let packed_key = (key as u64) << 32;
 
@@ -88,7 +126,7 @@ impl TopKSketch {
         let mut min_count = u64::MAX;
         for probe in 0..PROBE_WIDTH {
             let index = (base + probe) & self.mask;
-            let slot = &self.slots[index];
+            let slot = table.slot(index);
             let current = slot.load(Ordering::Relaxed);
             if current == EMPTY {
                 if slot
@@ -121,7 +159,7 @@ impl TopKSketch {
         // Pass 2 (space-saving eviction): every probed slot belongs to another key. Decrement
         // the window's minimum; a slot that reaches zero is recycled for the new key. A failed
         // CAS simply drops this observation — bounded work beats exactness here.
-        let slot = &self.slots[min_slot];
+        let slot = table.slot(min_slot);
         let current = slot.load(Ordering::Relaxed);
         if current == EMPTY {
             let _ =
@@ -137,40 +175,50 @@ impl TopKSketch {
         let _ = slot.compare_exchange(current, next, Ordering::Relaxed, Ordering::Relaxed);
     }
 
-    /// Number of occupied slots (scrape-time only).
-    pub fn occupied(&self) -> usize {
-        self.slots
+    /// Every occupied slot of every table (scrape-time only).
+    fn entries(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.tables
             .iter()
-            .filter(|s| s.load(Ordering::Relaxed) != EMPTY)
-            .count()
-    }
-
-    /// The `k` highest-count `(key, count)` entries, sorted by count descending with ties
-    /// broken by ascending key — fully deterministic for a given table state.
-    pub fn top(&self, k: usize) -> Vec<(u32, u64)> {
-        let mut entries: Vec<(u32, u64)> = self
-            .slots
-            .iter()
+            .flat_map(Table::slots)
             .map(|s| s.load(Ordering::Relaxed))
             .filter(|&packed| packed != EMPTY)
             .map(|packed| ((packed >> 32) as u32, packed & COUNT_MASK))
-            .filter(|&(_, count)| count > 0)
-            .collect();
-        entries.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        entries.truncate(k);
-        entries
     }
 
-    /// Empties every slot.
+    /// Number of occupied slots over all per-thread tables (scrape-time only).
+    pub fn occupied(&self) -> usize {
+        self.entries().count()
+    }
+
+    /// The `k` highest-count `(key, count)` entries, each key's counts summed across the
+    /// per-thread tables, sorted by count descending with ties broken by ascending key —
+    /// fully deterministic for a given table state.
+    pub fn top(&self, k: usize) -> Vec<(u32, u64)> {
+        let mut entries: Vec<(u32, u64)> = self.entries().filter(|&(_, c)| c > 0).collect();
+        entries.sort_unstable_by_key(|&(key, _)| key);
+        let mut merged: Vec<(u32, u64)> = Vec::with_capacity(entries.len());
+        for (key, count) in entries {
+            match merged.last_mut() {
+                Some(last) if last.0 == key => last.1 += count,
+                _ => merged.push((key, count)),
+            }
+        }
+        merged.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        merged.truncate(k);
+        merged
+    }
+
+    /// Empties every slot of every table.
     pub fn reset(&self) {
-        for slot in self.slots.iter() {
+        for slot in self.tables.iter().flat_map(Table::slots) {
             slot.store(EMPTY, Ordering::Relaxed);
         }
     }
 
-    /// Bytes of slot storage held (constant for the lifetime of the sketch).
+    /// Bytes of slot storage held over all per-thread tables (constant for the lifetime of
+    /// the sketch).
     pub fn memory_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<AtomicU64>()
+        self.tables.len() * self.capacity() * std::mem::size_of::<AtomicU64>()
     }
 }
 
@@ -267,6 +315,28 @@ mod tests {
         let top = s.top(1);
         assert_eq!(top[0].0, 5, "hot key must dominate: {top:?}");
         assert!(top[0].1 > 20_000, "hot count underestimated: {top:?}");
+    }
+
+    #[test]
+    fn per_thread_tables_merge_the_hot_key_exactly() {
+        // Each thread records key 5 n times plus a few cold keys of its own; with one table
+        // per thread no observation is lost to a race, so the merged count is exact.
+        let n = 20_000u64;
+        let s = TopKSketch::new(256);
+        std::thread::scope(|scope| {
+            for t in 0..4u32 {
+                let s = &s;
+                scope.spawn(move || {
+                    for i in 0..n {
+                        s.record(5);
+                        if i % 1_000 == 0 {
+                            s.record(1000 + t * 8 + (i / 1_000 % 8) as u32);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(s.top(1), vec![(5, 4 * n)]);
     }
 
     #[test]

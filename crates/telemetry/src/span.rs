@@ -5,58 +5,96 @@
 //! `Span::enter("partition/refinement").child("iteration")` records under
 //! `partition/refinement` and `partition/refinement/iteration`.
 //!
-//! The *fold* is atomic-only (three relaxed `fetch_*` ops); the *path lookup* takes a shared
-//! read lock the first time and an exclusive lock only when a brand-new path is interned.
-//! That is fine at phase granularity (a handful of spans per partitioning run), but not for
+//! The *fold* is atomic-only (two relaxed `fetch_add`s on the calling thread's shard of the
+//! [`SpanStats`], plus a `fetch_max` only when the duration is a new maximum for that shard);
+//! the *path lookup* takes a shared read lock the first time and an exclusive lock only when
+//! a brand-new path is interned. That is fine at phase granularity (a handful of spans per
+//! partitioning run), but not for
 //! per-request serving paths — those use a [`Timer`]: the [`SpanStats`] cell is resolved once
 //! at engine construction and each [`TimerGuard`] drop is pure atomics.
 //!
 //! When telemetry is [disabled](crate::enabled), `Span::enter` and `Timer::start` skip even
 //! the `Instant::now()` call and their drops do nothing.
 
-use crate::{enabled, global};
+use crate::{enabled, global, shard_index, Pad, COUNTER_SHARDS};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Aggregated wall-time statistics for one span path: invocation count, total and maximum
-/// nanoseconds. All updates are relaxed atomics.
+/// One recording thread's share of a [`SpanStats`].
 #[derive(Debug, Default)]
-pub struct SpanStats {
+struct SpanShard {
     count: AtomicU64,
     total_ns: AtomicU64,
     max_ns: AtomicU64,
 }
 
+/// Aggregated wall-time statistics for one span path: invocation count, total and maximum
+/// nanoseconds.
+///
+/// Like a [`Counter`](crate::Counter), the stats are spread over cache-line-padded
+/// per-thread shards, so threads timing the same path never write the same line; reads merge
+/// them (counts and totals sum, the maximum is the largest shard maximum).
+#[derive(Debug)]
+pub struct SpanStats {
+    shards: Box<[Pad<SpanShard>]>,
+}
+
+impl Default for SpanStats {
+    fn default() -> Self {
+        SpanStats {
+            shards: (0..COUNTER_SHARDS).map(|_| Pad::default()).collect(),
+        }
+    }
+}
+
 impl SpanStats {
-    /// Folds one measured duration into the stats. Lock-free.
+    /// Folds one measured duration into the stats. Lock-free: two relaxed `fetch_add`s on
+    /// the calling thread's shard, and a `fetch_max` only when `ns` exceeds that shard's
+    /// maximum.
     #[inline]
     pub fn record_ns(&self, ns: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        let shard = &self.shards[shard_index(COUNTER_SHARDS)].0;
+        shard.count.fetch_add(1, Ordering::Relaxed);
+        shard.total_ns.fetch_add(ns, Ordering::Relaxed);
+        if ns > shard.max_ns.load(Ordering::Relaxed) {
+            shard.max_ns.fetch_max(ns, Ordering::Relaxed);
+        }
+    }
+
+    fn sum(&self, field: impl Fn(&SpanShard) -> &AtomicU64) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| field(&s.0).load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Number of completed spans on this path.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.sum(|s| &s.count)
     }
 
     /// Total wall time across completed spans, in nanoseconds.
     pub fn total_ns(&self) -> u64 {
-        self.total_ns.load(Ordering::Relaxed)
+        self.sum(|s| &s.total_ns)
     }
 
     /// Longest single span, in nanoseconds.
     pub fn max_ns(&self) -> u64 {
-        self.max_ns.load(Ordering::Relaxed)
+        self.shards
+            .iter()
+            .map(|s| s.0.max_ns.load(Ordering::Relaxed))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Zeroes the stats.
     pub fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.total_ns.store(0, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
+        for shard in self.shards.iter() {
+            shard.0.count.store(0, Ordering::Relaxed);
+            shard.0.total_ns.store(0, Ordering::Relaxed);
+            shard.0.max_ns.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -209,6 +247,29 @@ mod tests {
         assert_eq!(stats.count(), 40_000);
         assert_eq!(stats.total_ns(), 80_000);
         assert_eq!(stats.max_ns(), 2);
+    }
+
+    #[test]
+    fn per_thread_shards_merge_to_exact_sums_and_maximum() {
+        // Thread t records 1_000 + t, 2_000 + t, ..., 500_000 + t: every thread writes its
+        // own shard, and the merge must read as one table would.
+        let stats = SpanStats::default();
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let stats = &stats;
+                scope.spawn(move || {
+                    for i in 1..=500u64 {
+                        stats.record_ns(i * 1_000 + t);
+                    }
+                });
+            }
+        });
+        let per_thread: u64 = (1..=500u64).map(|i| i * 1_000).sum();
+        assert_eq!(stats.count(), 2_000);
+        assert_eq!(stats.total_ns(), 4 * per_thread + 500 * (1 + 2 + 3));
+        assert_eq!(stats.max_ns(), 500_003);
+        stats.reset();
+        assert_eq!((stats.count(), stats.total_ns(), stats.max_ns()), (0, 0, 0));
     }
 
     #[test]
